@@ -27,10 +27,8 @@ from .simpset import left_fibration_check
 @dataclass(frozen=True)
 class RunConfig:
     subcommand: str
-    instances: tuple[str, ...] = ()
     depth: int | None = None
     out: str | None = None
-    deterministic: bool = True
 
 
 def _read(path: str, kind: str) -> str:
@@ -357,14 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_of(args) -> RunConfig:
-    instances = tuple(
-        getattr(args, name) for name in ("instance", "source", "target")
-        if getattr(args, name, None) is not None)
     depth = getattr(args, "depth", None)
     if depth is not None and depth < 1:
         raise ValueError("depth must be at least 1")
-    return RunConfig(subcommand=args.subcommand, instances=instances,
-                     depth=depth, out=args.out)
+    return RunConfig(subcommand=args.subcommand, depth=depth, out=args.out)
 
 
 def main(argv=None) -> int:

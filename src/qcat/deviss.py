@@ -210,7 +210,7 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
         q_obj = t.object_of_structure(struct)
         try:
             u = psi.source.object_of_structure(struct)
-        except (ValueError, AssertionError):
+        except ValueError:
             u = None
         if u is None or u not in psi.source.objects():
             raise ValueError(
@@ -295,7 +295,7 @@ def devissage_certificate(psi: ExactEmbedding, probe_objects,
     for x in probe_objects:
         ss, hom = homology_of(x)
         probe_reports.append(ProbeReport(
-            t.label(x), contractibility(ss, depth - 1), hom))
+            t.label(x), contractibility(ss, depth - 1, homology=hom), hom))
         filt = admissible_filtration(psi, x)
         for lower, upper in zip(filt.stage_objects, filt.stage_objects[1:]):
             _, h_lower = homology_of(lower)

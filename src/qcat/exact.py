@@ -403,10 +403,13 @@ def ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
     if not inst.is_epi(e):
         raise ValueError("second leg must be an admissible epi")
     sq = _raw_pullback(inst, i, e)
-    assert square_commutes(inst, sq)
+    if not square_commutes(inst, sq):
+        raise ValueError("ambigressive pullback: square does not commute")
     # the size identity |W| |Y| = |U| |V| pins the pullback's order
-    assert inst.order(sq.nw) * inst.order(i.dst) == \
-        inst.order(i.src) * inst.order(e.src)
+    ow, oy, ou, ov = (inst.order(x) for x in (sq.nw, i.dst, i.src, e.src))
+    if ow * oy != ou * ov:
+        raise ValueError(f"ambigressive pullback: |W| |Y| = {ow} * {oy} "
+                         f"but |U| |V| = {ou} * {ov}")
     return sq
 
 
@@ -435,9 +438,13 @@ def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
     from_u = Mor(i.dst, w, tuple(row[:nu] for row in proj))
     from_v = Mor(e.dst, w, tuple(row[nu:] for row in proj))
     sq = Square(top=i, left=e, right=from_u, bottom=from_v)
-    assert square_commutes(inst, sq)
-    assert inst.order(w) * inst.order(i.src) == \
-        inst.order(i.dst) * inst.order(e.dst)
+    if not square_commutes(inst, sq):
+        raise ValueError("ambigressive pushout: square does not commute")
+    # the size identity |W| |Y| = |U| |V| pins the pushout's order
+    ow, oy, ou, ov = (inst.order(x) for x in (w, i.src, i.dst, e.dst))
+    if ow * oy != ou * ov:
+        raise ValueError(f"ambigressive pushout: |W| |Y| = {ow} * {oy} "
+                         f"but |U| |V| = {ou} * {ov}")
     return sq
 
 

@@ -242,18 +242,37 @@ class SimplicialSet:
             through_dim = max(top if top is not None else self.max_nondeg_dim(), 0)
         if top is not None and through_dim > top:
             raise ValueError(f"presentation only determines homology through {top}")
-        out = []
-        for n in range(through_dim + 1):
-            c_n = len(self.nondeg(n))
-            rank_dn = 0
-            if n > 0:
-                rows, _, _ = self.boundary_matrix(n)
-                rank_dn = len(smith_diagonal(rows, len(self.nondeg(n - 1))))
-            rows_up, _, _ = self.boundary_matrix(n + 1)
-            diag_up = smith_diagonal(rows_up, c_n)
-            betti = (c_n - rank_dn) - len(diag_up)
-            out.append((betti, torsion_from_diagonal(diag_up)))
+        cells = [len(self.nondeg(n)) for n in range(through_dim + 1)]
+        # diags[n] is the Smith diagonal of d_n; d_0 is zero
+        diags = [[]] + [smith_diagonal(self.boundary_matrix(n)[0], cells[n - 1])
+                        for n in range(1, through_dim + 2)]
+        out = [(c_n - len(diags[n]) - len(diags[n + 1]),
+                torsion_from_diagonal(diags[n + 1]))
+               for n, c_n in enumerate(cells)]
+        self._check_homology(cells, [betti for betti, _ in out])
         return out
+
+    def _check_homology(self, cells, bettis):
+        """Independent checks on computed Betti numbers.
+
+        H_0 must count the path components.  On a complete presentation
+        with every nondegenerate degree computed, the alternating sums of
+        cells and of Betti numbers must agree.  Each boundary's rank enters
+        two adjacent Betti numbers with opposite signs, so that sum catches
+        only a nonzero rank of the top boundary, which has no rows; the
+        H_0 count is what catches a wrong rank of d_1.
+        """
+        where = f"homology: cells {cells}, betti {bettis}"
+        components = len(self.components())
+        if bettis[0] != components:
+            raise ValueError(f"{where}: H_0 has betti {bettis[0]} but the "
+                             f"space has {components} components")
+        if self.truncation is None and len(cells) > self.max_nondeg_dim():
+            chi = sum((-1) ** n * c for n, c in enumerate(cells))
+            alt = sum((-1) ** n * b for n, b in enumerate(bettis))
+            if chi != alt:
+                raise ValueError(f"{where}: Euler characteristic {chi} but "
+                                 f"alternating Betti sum {alt}")
 
     def euler_characteristic(self) -> int:
         if self.truncation is not None:
@@ -382,7 +401,8 @@ class Contractibility:
 
 
 def contractibility(space: SimplicialSet, depth: int,
-                    budget: int = 10000) -> Contractibility:
+                    budget: int = 10000, homology=None) -> Contractibility:
+    """`homology`, if given, is `space.homology(depth)` computed earlier."""
     if not space.vertices():
         return Contractibility("not_contractible", None, "no vertices")
     if len(space.components()) > 1:
@@ -393,7 +413,12 @@ def contractibility(space: SimplicialSet, depth: int,
             "inconclusive", None,
             f"presentation determines homology only through {limit}, "
             f"needed {depth}")
-    for n, (betti, torsion) in enumerate(space.homology(depth)):
+    if homology is None:
+        homology = space.homology(depth)
+    elif len(homology) != depth + 1:
+        raise ValueError(f"contractibility through {depth} needs homology "
+                         f"in {depth + 1} degrees, got {len(homology)}")
+    for n, (betti, torsion) in enumerate(homology):
         expected = 1 if n == 0 else 0
         if betti != expected or torsion:
             return Contractibility(

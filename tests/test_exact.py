@@ -8,7 +8,7 @@ pairs under automorphisms of the apex.
 
 import pytest
 
-from qcat import zmod
+from qcat import exact, zmod
 from qcat.errors import GuardError
 from qcat.exact import (
     AbPInstance,
@@ -291,6 +291,15 @@ def test_pushout_examples(ab4):
     assert po2.se == (1,)
     assert is_pushout_square(ab4, po2)
     assert bicartesian_check(ab4, po2)
+
+
+def test_ambigressive_squares_that_do_not_commute_raise(ab4, monkeypatch):
+    monkeypatch.setattr(exact, "square_commutes", lambda inst, sq: False)
+    i = Mor((1,), (2,), ((2,),))
+    with pytest.raises(ValueError, match="pullback: square does not commute"):
+        ambigressive_pullback(ab4, i, ab4.identity((2,)))
+    with pytest.raises(ValueError, match="pushout: square does not commute"):
+        ambigressive_pushout(ab4, i, ab4.identity((1,)))
 
 
 def test_ses_square_is_bicartesian(ab4):

@@ -3,6 +3,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcat import simpset
 from qcat.ordmaps import DeltaMap, all_maps
 from qcat.simpset import (
     SimplicialMap,
@@ -77,6 +78,26 @@ def test_projective_plane_invariants(rp2):
     assert rp2.euler_characteristic() == 1
     assert rp2.homology() == [(1, []), (0, [2]), (0, [])]
     assert rp2.pi1_presentation().abelianization() == (0, [2])
+
+
+def test_homology_rejects_a_dropped_diagonal_entry(rp2, monkeypatch):
+    smith = simpset.smith_diagonal
+    monkeypatch.setattr(simpset, "smith_diagonal",
+                        lambda rows, n_cols=None: smith(rows, n_cols)[1:])
+    with pytest.raises(ValueError, match=r"homology: cells \[6, 15, 10\], "
+                       r"betti \[2, 2, 1\]: H_0 has betti 2 but the space "
+                       r"has 1 components"):
+        rp2.homology()
+
+
+def test_homology_rejects_a_rank_on_the_empty_top_boundary(rp2, monkeypatch):
+    smith = simpset.smith_diagonal
+    monkeypatch.setattr(simpset, "smith_diagonal",
+                        lambda rows, n_cols=None: smith(rows, n_cols) or [1])
+    with pytest.raises(ValueError, match=r"cells \[6, 15, 10\], betti "
+                       r"\[1, 0, -1\]: Euler characteristic 1 but "
+                       r"alternating Betti sum 0"):
+        rp2.homology()
 
 
 def test_torus_from_product_of_circles(torus):

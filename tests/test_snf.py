@@ -1,9 +1,12 @@
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 
+from qcat.formats import load_sset
 from qcat.snf import (
+    _dense_smith_diagonal,
     hermite_rows,
     integer_rank,
     smith_diagonal,
@@ -43,6 +46,106 @@ def test_smith_matches_sympy_on_random_matrices():
         n = rng.randrange(1, 5)
         rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
         assert smith_diagonal(rows, n) == sympy_smith(rows, n), rows
+
+
+def sparse_random(rng, m, n, values, density):
+    return [[rng.choice(values) if rng.random() < density else 0
+             for _ in range(n)] for _ in range(m)]
+
+
+def unimodular(rng, k, steps):
+    """Identity moved by random row additions, swaps and negations."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(steps):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        elif rng.random() < 0.3:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def matmul(a, b, n):
+    return [[sum(x * b[k][j] for k, x in enumerate(r)) for j in range(n)]
+            for r in a]
+
+
+def assert_oracles_agree(rows, n, with_sympy):
+    d = smith_diagonal(rows, n)
+    assert d == _dense_smith_diagonal(rows, n), rows
+    if with_sympy:
+        assert d == sympy_smith(rows, n), rows
+
+
+def test_smith_on_unit_entry_matrices_matches_dense_and_sympy():
+    rng = random.Random(20261018)
+    for trial in range(120):
+        m, n = rng.randrange(1, 13), rng.randrange(1, 13)
+        rows = sparse_random(rng, m, n, (1, -1), rng.choice((0.15, 0.3, 0.6)))
+        assert_oracles_agree(rows, n, with_sympy=trial < 40)
+
+
+def test_smith_keeps_torsion_of_disguised_diagonals():
+    rng = random.Random(7)
+    for trial in range(80):
+        m, n = rng.randrange(1, 9), rng.randrange(1, 9)
+        entries = [rng.choice((1, 1, 2, 4, 6, 0)) for _ in range(min(m, n))]
+        d = [[entries[i] if i == j and i < len(entries) else 0
+              for j in range(n)] for i in range(m)]
+        rows = matmul(matmul(unimodular(rng, m, 2 * m), d, n),
+                      unimodular(rng, n, 2 * n), n)
+        expected = [x for x in entries if x]
+        d = smith_diagonal(rows, n)
+        assert (len(d), prod(d)) == (len(expected), prod(expected)), rows
+        assert_oracles_agree(rows, n, with_sympy=trial < 30)
+
+
+def test_smith_ignores_zero_rows_and_columns():
+    rng = random.Random(11)
+    for _ in range(60):
+        m, n = rng.randrange(1, 10), rng.randrange(1, 10)
+        rows = sparse_random(rng, m, n, (1, -1, 2, -3), 0.35)
+        for i in rng.sample(range(m), rng.randrange(m + 1)):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), rng.randrange(n + 1)):
+            for r in rows:
+                r[j] = 0
+        assert_oracles_agree(rows, n, with_sympy=False)
+        live = [j for j in range(n) if any(r[j] for r in rows)]
+        core = [[r[j] for j in live] for r in rows if any(r)]
+        assert smith_diagonal(rows, n) == smith_diagonal(core, len(live))
+
+
+def test_smith_on_large_sparse_matrices_matches_dense():
+    rng = random.Random(3)
+    for _ in range(6):
+        m, n = rng.randrange(20, 41), rng.randrange(20, 41)
+        rows = sparse_random(rng, m, n, (1, -1, 1, -1, 2), 0.1)
+        assert_oracles_agree(rows, n, with_sympy=False)
+
+
+def test_smith_on_empty_shapes():
+    for m, n in [(0, 0), (0, 4), (3, 0)]:
+        rows = [[0] * n for _ in range(m)]
+        assert smith_diagonal(rows, n) == []
+        assert _dense_smith_diagonal(rows, n) == []
+
+
+def test_smith_rejects_ragged_input():
+    with pytest.raises(ValueError):
+        smith_diagonal([[1, 2], [3]], 2)
+    with pytest.raises(ValueError):
+        smith_diagonal([[1, 2], [3, 4]], 3)
+
+
+def test_smith_of_projective_plane_boundary_keeps_z2():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    rp2 = load_sset((fixtures / "rp2.sset").read_text(encoding="utf-8"))
+    rows, _, cols = rp2.boundary_matrix(2)
+    assert smith_diagonal(rows, len(cols)) == [1] * 9 + [2]
 
 
 def test_torsion_and_rank_helpers():
