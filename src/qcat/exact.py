@@ -34,9 +34,20 @@ class Mor:
 
 class Instance:
     """Shared engine; subclasses fix the object inventory and the typing
-    of structure tuples back to objects."""
+    of structure tuples back to objects.
+
+    Element tuples and each span's member set and legs are memoized on
+    the instance.  An object is only a typing value whose group depends
+    on the instance (the object (1,) is Z/2 in abp:2:4 and Z/3 in
+    abp:3:9), so these tables must never be shared between instances.
+    """
 
     p: int  # the residue characteristic used for structure typing
+
+    def __init__(self):
+        self._elements = {}       # object -> tuple of its elements
+        self._span_members = {}   # Span -> frozenset of graph members
+        self._span_legs = {}      # Span -> (w, e: w ->> src, m: w >-> dst)
 
     def objects(self):
         raise NotImplementedError
@@ -58,8 +69,11 @@ class Instance:
     def zero_object(self):
         return self.object_of_structure(())
 
-    def elements(self, x):
-        return zmod.elements(self.moduli_of(x))
+    def elements(self, x) -> tuple:
+        els = self._elements.get(x)
+        if els is None:
+            els = self._elements[x] = tuple(zmod.elements(self.moduli_of(x)))
+        return els
 
     def order(self, x) -> int:
         n = 1
@@ -166,6 +180,7 @@ class VectInstance(Instance):
             raise ValueError(f"q must be prime, got {q}")
         if d < 0:
             raise ValueError("dimension bound must be nonnegative")
+        super().__init__()
         self.q = q
         self.d = d
         self.p = q
@@ -199,8 +214,10 @@ class AbPInstance(Instance):
             raise ValueError(f"p must be prime, got {p}")
         if bound < 1:
             raise ValueError("order bound must be positive")
+        super().__init__()
         self.p = p
         self.bound = bound
+        self._moduli = {}
 
     def objects(self):
         out = [()]
@@ -229,7 +246,10 @@ class AbPInstance(Instance):
         return out
 
     def moduli_of(self, x):
-        return tuple(self.p ** e for e in x)
+        moduli = self._moduli.get(x)
+        if moduli is None:
+            moduli = self._moduli[x] = tuple(self.p ** e for e in x)
+        return moduli
 
     def object_of_structure(self, exps):
         return tuple(exps)
@@ -267,9 +287,12 @@ def _pair_moduli(inst: Instance, x, y):
 
 
 def _span_members(inst: Instance, s: Span) -> frozenset:
-    moduli = _pair_moduli(inst, s.src, s.dst)
-    gens = [tuple(c % m for c, m in zip(row, moduli)) for row in s.key]
-    return zmod.closure(moduli, gens)
+    members = inst._span_members.get(s)
+    if members is None:
+        moduli = _pair_moduli(inst, s.src, s.dst)
+        gens = [tuple(c % m for c, m in zip(row, moduli)) for row in s.key]
+        members = inst._span_members[s] = zmod.closure(moduli, gens)
+    return members
 
 
 def _graph_ok(inst: Instance, x, y, members) -> tuple[bool, str]:
@@ -307,16 +330,20 @@ def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
 
 def span_legs(inst: Instance, s: Span):
     """Unpacks the canonical span as (w, e: w -> src, m: w -> dst)."""
-    members = _span_members(inst, s)
-    moduli = _pair_moduli(inst, s.src, s.dst)
-    basis = zmod.basis_of(moduli, members, inst.p)
-    w = inst.object_of_structure(
-        zmod.structure_of(moduli, members, inst.p))
-    nx = len(inst.moduli_of(s.src))
-    e_rows = tuple(tuple(b[i] for b in basis) for i in range(nx))
-    m_rows = tuple(tuple(b[nx + i] for b in basis)
-                   for i in range(len(inst.moduli_of(s.dst))))
-    return w, Mor(w, s.src, e_rows), Mor(w, s.dst, m_rows)
+    legs = inst._span_legs.get(s)
+    if legs is None:
+        members = _span_members(inst, s)
+        moduli = _pair_moduli(inst, s.src, s.dst)
+        basis = zmod.basis_of(moduli, members, inst.p)
+        w = inst.object_of_structure(
+            zmod.structure_of(moduli, members, inst.p))
+        nx = len(inst.moduli_of(s.src))
+        e_rows = tuple(tuple(b[i] for b in basis) for i in range(nx))
+        m_rows = tuple(tuple(b[nx + i] for b in basis)
+                       for i in range(len(inst.moduli_of(s.dst))))
+        legs = inst._span_legs[s] = (w, Mor(w, s.src, e_rows),
+                                     Mor(w, s.dst, m_rows))
+    return legs
 
 
 def identity_span(inst: Instance, x) -> Span:
@@ -524,44 +551,52 @@ def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleRe
     """
     epis_of = check_epis or (lambda v, y: inst.epis(v, y))
     monos_of = check_monos or (lambda u, y: inst.monos(u, y))
+    objs = inst.objects()
+    bounded = set(objs)
     failures = []
     checked = 0
-    for y in inst.objects():
+    for y in objs:
         y_order = inst.order(y)
-        for u in inst.objects():
+        # every epi onto y, once, with its fibers (image -> preimages)
+        epis = []
+        for v in objs:
+            v_els = inst.elements(v)
+            for e in epis_of(v, y):
+                fibers = {}
+                for w in v_els:
+                    fibers.setdefault(inst.apply(e, w), []).append(w)
+                epis.append((v, v_els, fibers))
+        for u in objs:
             u_els = inst.elements(u)
             for i in monos_of(u, y):
-                i_im = {x: inst.apply(i, x) for x in u_els}
-                for v in inst.objects():
-                    v_els = inst.elements(v)
-                    for e in epis_of(v, y):
-                        e_im = {x: inst.apply(e, x) for x in v_els}
-                        checked += 1
+                i_im = [(x, inst.apply(i, x)) for x in u_els]
+                for v, v_els, fibers in epis:
+                    checked += 1
+                    # work on the fiber product's member set directly;
+                    # the legs' defects are visible without matrices
+                    members = [(x, w) for x, im in i_im
+                               for w in fibers.get(im, ())]
+                    problems = []
+                    if len(members) * y_order != len(u_els) * len(v_els):
+                        problems.append("size identity fails")
+                    if {m[0] for m in members} != set(u_els):
+                        problems.append("pulled-back epi is not epi")
+                    zero_v = zmod.zero(inst.moduli_of(v))
+                    if sum(1 for m in members if m[1] == zero_v) != 1:
+                        problems.append("pulled-back mono is not mono")
+                    flat = [x + w for x, w in members]
+                    moduli = inst.moduli_of(u) + inst.moduli_of(v)
+                    struct = zmod.structure_of(moduli, flat, inst.p)
+                    try:
+                        w_obj = inst.object_of_structure(struct)
+                    except ValueError:
+                        w_obj = None
+                    if w_obj is None or w_obj not in bounded:
+                        problems.append("pullback escapes bounds")
+                    if problems:
                         where = (f"i: {inst.label(u)}>->{inst.label(y)}, "
                                  f"e: {inst.label(v)}->>{inst.label(y)}")
-                        # work on the fiber product's member set directly;
-                        # the legs' defects are visible without matrices
-                        members = [(x, w) for x in u_els for w in v_els
-                                   if i_im[x] == e_im[w]]
-                        if len(members) * y_order != len(u_els) * len(v_els):
-                            failures.append(f"{where}: size identity fails")
-                        if {m[0] for m in members} != set(u_els):
-                            failures.append(
-                                f"{where}: pulled-back epi is not epi")
-                        zero_v = zmod.zero(inst.moduli_of(v))
-                        if sum(1 for m in members if m[1] == zero_v) != 1:
-                            failures.append(
-                                f"{where}: pulled-back mono is not mono")
-                        flat = [x + w for x, w in members]
-                        moduli = inst.moduli_of(u) + inst.moduli_of(v)
-                        struct = zmod.structure_of(moduli, flat, inst.p)
-                        try:
-                            w_obj = inst.object_of_structure(struct)
-                        except ValueError:
-                            w_obj = None
-                        if w_obj is None or w_obj not in inst.objects():
-                            failures.append(
-                                f"{where}: pullback escapes bounds")
+                        failures.extend(f"{where}: {why}" for why in problems)
                         if len(failures) >= 5:
                             return TripleReport(False, checked,
                                                 tuple(failures))

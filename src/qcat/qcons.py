@@ -198,7 +198,7 @@ def _spine_strings(inst: Instance, n: int):
 
 
 def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor,
-                    epis_cache, monos_cache):
+                    epis_cache, monos_cache, autos_cache):
     """All fillers X of the elementary square
 
             X --e-->  ne_obj
@@ -216,12 +216,13 @@ def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor,
         if inst.order(v) * inst.order(se_obj) != target:
             continue
         v_els = inst.elements(v)
-        autos = [f for f in inst.hom(v, v)
-                 if inst.is_mono(f) and inst.is_epi(f)]
+        monos = [(m, inst.compose(bottom, m))
+                 for m in monos_cache[(v, sw_obj)]]
         raw = []
         for e in epis_cache[(v, ne_obj)]:
-            for m in monos_cache[(v, sw_obj)]:
-                if inst.compose(right, e) != inst.compose(bottom, m):
+            right_e = inst.compose(right, e)
+            for m, bottom_m in monos:
+                if right_e != bottom_m:
                     continue
                 joint = {(inst.apply(e, u), inst.apply(m, u))
                          for u in v_els}
@@ -233,7 +234,7 @@ def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor,
             if (e.rows, m.rows) in seen:
                 continue
             found.append((v, e, m))
-            for phi in autos:
+            for phi in autos_cache[v]:
                 e2 = inst.compose(e, phi)
                 m2 = inst.compose(m, phi)
                 seen.add((e2.rows, m2.rows))
@@ -254,6 +255,8 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     objs = inst.objects()
     epis_cache = {(v, y): inst.epis(v, y) for v in objs for y in objs}
     monos_cache = {(v, y): inst.monos(v, y) for v in objs for y in objs}
+    autos_cache = {v: [f for f in monos_cache[(v, v)] if inst.is_epi(f)]
+                   for v in objs}
 
     out = []
     for verts, spine in _spine_strings(inst, n):
@@ -280,7 +283,7 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
                         d.objects[(i, j - 1)], d.objects[(i + 1, j)],
                         d.objects[(i + 1, j - 1)],
                         d.monos[(i, j - 1)], d.epis[(i + 1, j)],
-                        epis_cache, monos_cache)
+                        epis_cache, monos_cache, autos_cache)
                     for v, e, m in fillers:
                         d2 = AmbigressiveDiagram(
                             n, dict(d.objects), dict(d.epis), dict(d.monos))

@@ -9,7 +9,8 @@ in Z^r for canonical (hashable, order-free) keys.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
+from itertools import accumulate, product
 from math import gcd
 
 from .snf import hermite_rows
@@ -99,7 +100,14 @@ def closure(moduli: Moduli, gens) -> frozenset:
 
 def all_subgroups(moduli: Moduli) -> list[frozenset]:
     """Every subgroup, as a frozenset of elements, in a deterministic
-    order (by size, then by sorted element list)."""
+    order (by size, then by sorted element list).
+
+    Breadth-first from the trivial subgroup: each subgroup S found is
+    extended by one element e per coset of S other than S itself (S + <e>
+    depends only on the coset e + S).  The extension S + <e> is built as
+    the union of the cosets S + k*e for k = 0, 1, ..., stopping at the
+    first k*e that lies in S, so no generating set is ever closed.
+    """
     els = elements(moduli)
     trivial = frozenset({zero(moduli)})
     found = {trivial}
@@ -107,10 +115,18 @@ def all_subgroups(moduli: Moduli) -> list[frozenset]:
     while frontier:
         new = []
         for sub in frontier:
+            covered = set(sub)
             for e in els:
-                if e in sub:
+                if e in covered:
                     continue
-                bigger = closure(moduli, list(sub) + [e])
+                coset = {add(moduli, e, s) for s in sub}
+                covered |= coset
+                bigger = set(sub) | coset
+                step = add(moduli, e, e)
+                while step not in sub:
+                    bigger.update(add(moduli, step, s) for s in sub)
+                    step = add(moduli, step, e)
+                bigger = frozenset(bigger)
                 if bigger not in found:
                     found.add(bigger)
                     new.append(bigger)
@@ -157,17 +173,15 @@ def structure_of(moduli: Moduli, els, p: int) -> tuple[int, ...]:
     """Invariant-factor exponents (nonincreasing) of a subgroup of a
     p-group, read off from the order statistics: the count of elements
     killed by p^k determines how many factors have exponent >= k."""
-    els = list(els)
-    size = len(els)
-    killed = []  # killed[k] = #elements annihilated by p^k
-    k = 0
-    while True:
-        c = sum(1 for x in els
-                if not any(scale(moduli, p ** k, x)))
-        killed.append(c)
-        if c == size:
-            break
-        k += 1
+    # order_exp[m][c]: the k with p^k the order of c in Z/m
+    order_exp = {m: [_exact_log(p, m // gcd(m, c)) for c in range(m)]
+                 for m in set(moduli)}
+    by_order = Counter(
+        max((order_exp[m][c % m] for c, m in zip(x, moduli)), default=0)
+        for x in els)
+    # killed[k] = #elements annihilated by p^k
+    killed = list(accumulate(by_order[k]
+                             for k in range(max(by_order, default=0) + 1)))
     at_least = [_exact_log(p, killed[i] // killed[i - 1])
                 for i in range(1, len(killed))]
     exps = []

@@ -14,6 +14,7 @@ from qcat.exact import (
     AbPInstance,
     Mor,
     Square,
+    TripleReport,
     VectInstance,
     all_maps_egressive,
     all_spans,
@@ -344,11 +345,29 @@ def test_verify_triple_passes_on_larger_abelian_instance():
     assert report.squares_checked == 37443
 
 
-def test_verify_triple_rejects_corrupted_egressives(ab4):
-    report = verify_triple(ab4, check_epis=all_maps_egressive(ab4))
-    assert not report.passed
-    assert any("size identity" in f or "not epi" in f
-               for f in report.failures)
+CORRUPTED_REPORTS = {
+    "abp:2:4": (14, (
+        "i: 0>->Z/2, e: 0->>Z/2: size identity fails",
+        "i: 0>->Z/2, e: Z/2->>Z/2: size identity fails",
+        "i: 0>->Z/2, e: Z/2+Z/2->>Z/2: size identity fails",
+        "i: 0>->Z/2, e: Z/4->>Z/2: size identity fails",
+        "i: Z/2>->Z/2, e: 0->>Z/2: pulled-back epi is not epi")),
+    "vect:2:2": (12, (
+        "i: 0>->F^1, e: 0->>F^1: size identity fails",
+        "i: 0>->F^1, e: F^1->>F^1: size identity fails",
+        "i: 0>->F^1, e: F^2->>F^1: size identity fails",
+        "i: F^1>->F^1, e: 0->>F^1: pulled-back epi is not epi",
+        "i: F^1>->F^1, e: F^1->>F^1: pulled-back epi is not epi")),
+}
+
+
+def test_verify_triple_rejects_corrupted_egressives():
+    # the exact report pins the loop order (y, u, mono, v, epi) and the
+    # early return at five failures
+    for descriptor, (squares, failures) in CORRUPTED_REPORTS.items():
+        inst = parse_instance(descriptor)
+        report = verify_triple(inst, check_epis=all_maps_egressive(inst))
+        assert report == TripleReport(False, squares, failures), descriptor
 
 
 def test_parse_instance():

@@ -1,5 +1,7 @@
 """Span category, class-group extraction, ambigressive diagrams."""
 
+import hashlib
+
 import pytest
 
 from qcat import qcons
@@ -56,6 +58,35 @@ def test_composition_table_is_span_composition(qv1, v1):
     for (g, f), gf in c.compose_table.items():
         expect = span_compose(v1, qv1.span_of[g], qv1.span_of[f])
         assert qv1.span_of[gf] == expect
+
+
+# sha256 of the sorted composition table and of the sorted name -> span
+# map, each recorded from a build in a process of its own
+TABLE_DIGESTS = {
+    "abp:2:4": ("3c64de64530b4a9a587127abf9763151b0e80f23b1546f8d413ff63c7953275b",
+                "856da4dd43a03dcf1e0f7a304570281677e41d92b9ea4b5249e57b83f27cda68"),
+    "abp:3:9": ("e15a7bdf9d8320cc43485e27d88d2aac0a4744164db01e32a3679736d8f9edc8",
+                "13974a5eb6ba02e6d85b858f4965847df6325975d71483c9eb200c21e33ff0e6"),
+}
+
+
+def _digests(qc):
+    return tuple(hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+                 for table in (qc.category.compose_table, qc.span_of))
+
+
+def test_instance_caches_stay_with_their_instance():
+    # abp:2:4 and abp:3:9 share object tuples such as (1,), which is Z/2
+    # in one and Z/3 in the other: a cache keyed by object or by span
+    # alone would hand the later builds the wrong groups
+    ab = AbPInstance(2, 4)
+    first = qcons.q_category(ab)
+    odd = qcons.q_category(AbPInstance(3, 9))
+    warm = qcons.q_category(ab)
+    again = qcons.q_category(AbPInstance(2, 4))
+    for qc in (first, warm, again):
+        assert _digests(qc) == TABLE_DIGESTS["abp:2:4"]
+    assert _digests(odd) == TABLE_DIGESTS["abp:3:9"]
 
 
 def test_k0_of_line_is_z(qv1, v1):

@@ -80,6 +80,100 @@ def test_subgroup_counts():
     assert len(zmod.all_subgroups((2, 4))) == 8
 
 
+def closure_all_subgroups(moduli):
+    """Reference enumeration: breadth-first over subgroups, closing every
+    known subgroup together with each element outside it."""
+    els = zmod.elements(moduli)
+    trivial = frozenset({zmod.zero(moduli)})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for sub in frontier:
+            for e in els:
+                if e in sub:
+                    continue
+                bigger = zmod.closure(moduli, list(sub) + [e])
+                if bigger not in found:
+                    found.add(bigger)
+                    new.append(bigger)
+        frontier = new
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("moduli", [m for _, m in CASES]
+                         + [(2, 2, 2, 2), (4, 2, 2), (2, 2, 2, 2, 2)],
+                         ids=str)
+def test_coset_extension_matches_closure_enumeration(moduli):
+    assert zmod.all_subgroups(moduli) == closure_all_subgroups(moduli)
+
+
+def gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def conjugate(partition):
+    return [sum(1 for part in partition if part > i)
+            for i in range(max(partition, default=0))]
+
+
+def birkhoff_count(lam, p):
+    """Number of subgroups of the abelian p-group of type `lam`: the sum
+    over types mu inside lam of Birkhoff's count
+    prod_i p^(mu'_{i+1} (lam'_i - mu'_i)) [lam'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p
+    in conjugate partitions (Butler, Mem. AMS 539, 1994)."""
+    lam_c = conjugate(lam)
+    total = 0
+
+    def types(i, cap):
+        # mu' as nonincreasing sequences with mu'_i <= min(lam'_i, cap)
+        if i == len(lam_c):
+            yield []
+            return
+        for c in range(min(lam_c[i], cap), -1, -1):
+            for rest in types(i + 1, c):
+                yield [c] + rest
+
+    for mu_c in types(0, lam_c[0] if lam_c else 0):
+        count = 1
+        for i, (l_i, m_i) in enumerate(zip(lam_c, mu_c)):
+            m_next = mu_c[i + 1] if i + 1 < len(mu_c) else 0
+            count *= p ** (m_next * (l_i - m_i))
+            count *= gaussian_binomial(l_i - m_next, m_i - m_next, p)
+        total += count
+    return total
+
+
+@pytest.mark.parametrize("n,count", [(1, 2), (2, 5), (3, 16), (4, 67),
+                                     (5, 374)])
+def test_elementary_abelian_two_group_subgroup_counts(n, count):
+    assert sum(gaussian_binomial(n, k, 2) for k in range(n + 1)) == count
+    assert len(zmod.all_subgroups((2,) * n)) == count
+
+
+def test_elementary_abelian_three_group_subgroup_count():
+    assert sum(gaussian_binomial(3, k, 3) for k in range(4)) == 28
+    assert len(zmod.all_subgroups((3, 3, 3))) == 28
+
+
+@pytest.mark.parametrize("p,moduli", CASES + [(2, (2, 4, 4)), (3, (3, 3, 9)),
+                                              (2, (8, 4, 2))])
+def test_subgroup_counts_match_birkhoff(p, moduli):
+    lam = []
+    for m in moduli:
+        e = 0
+        while m > 1:
+            m //= p
+            e += 1
+        lam.append(e)
+    lam.sort(reverse=True)
+    assert len(zmod.all_subgroups(moduli)) == birkhoff_count(lam, p)
+
+
 def test_hom_rows_counts_and_welldefinedness():
     homs = zmod.hom_rows((2,), (4,))
     assert homs == [((0,),), ((2,),)]
