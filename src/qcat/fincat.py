@@ -24,9 +24,38 @@ class FiniteCategory:
         self.morph = dict(morphisms)
         self.identity = dict(identity)
         self.compose_table = dict(compose_table)
+        self._sorted = None
+
+    def _index(self):
+        """Sort the morphisms by repr and group them by source, by target
+        and by (source, target), each group in sorted order.  Built on
+        first use, so `morph` must not change after a lookup."""
+        if self._sorted is None:
+            by_src, by_dst, by_ends = {}, {}, {}
+            order = sorted(self.morph, key=repr)
+            for m in order:
+                s, t = self.morph[m]
+                by_src.setdefault(s, []).append(m)
+                by_dst.setdefault(t, []).append(m)
+                by_ends.setdefault((s, t), []).append(m)
+            self._from, self._to, self._hom = (
+                {k: tuple(v) for k, v in d.items()}
+                for d in (by_src, by_dst, by_ends))
+            self._sorted = tuple(order)
 
     def morphisms(self):
-        return sorted(self.morph, key=repr)
+        self._index()
+        return list(self._sorted)
+
+    def morphisms_from(self, x):
+        """Morphisms with source x, in `morphisms()` order."""
+        self._index()
+        return self._from.get(x, ())
+
+    def morphisms_to(self, x):
+        """Morphisms with target x, in `morphisms()` order."""
+        self._index()
+        return self._to.get(x, ())
 
     def src(self, m):
         return self.morph[m][0]
@@ -38,7 +67,8 @@ class FiniteCategory:
         return self.identity.get(self.src(m)) == m and self.src(m) == self.dst(m)
 
     def hom(self, x, y):
-        return [m for m in self.morphisms() if self.morph[m] == (x, y)]
+        self._index()
+        return list(self._hom.get((x, y), ()))
 
     def compose(self, g, f):
         """g after f."""
@@ -85,16 +115,23 @@ def check_axioms(c: FiniteCategory) -> list[str]:
             problems.append(f"left unit law fails at {f!r}")
         if c.compose(f, c.identity[c.src(f)]) != f:
             problems.append(f"right unit law fails at {f!r}")
+    # Only composable triples are visited, each list of arrows into an
+    # object kept in `c.morph` order so the problems come out in the order
+    # of a scan over all M^3 triples.  The checks above make every
+    # composable pair a key of the table, read here as rows after[g][f].
+    arriving = {}
+    for f, (_, t) in c.morph.items():
+        arriving.setdefault(t, []).append(f)
+    after = {g: {f: c.compose_table[g, f] for f in arriving.get(c.src(g), ())}
+             for g in c.morph}
     for h in c.morph:
-        for g in c.morph:
-            if c.dst(g) != c.src(h):
-                continue
-            hg = c.compose(h, g)
-            for f in c.morph:
-                if c.dst(f) != c.src(g):
-                    continue
-                if c.compose(hg, f) != c.compose(h, c.compose(g, f)):
-                    problems.append(f"associativity fails at ({h!r}, {g!r}, {f!r})")
+        after_h = after[h]
+        for g in arriving.get(c.src(h), ()):
+            after_hg, after_g = after[after_h[g]], after[g]
+            problems.extend(
+                f"associativity fails at ({h!r}, {g!r}, {f!r})"
+                for f in arriving.get(c.src(g), ())
+                if after_hg[f] != after_h[after_g[f]])
     return problems
 
 
@@ -208,8 +245,8 @@ def _nerve_levels(c: FiniteCategory, n: int):
         return list(c.objects)
     strings = [(m,) for m in c.morphisms()]
     for _ in range(n - 1):
-        strings = [s + (m,) for s in strings for m in c.morphisms()
-                   if c.dst(s[-1]) == c.src(m)]
+        strings = [s + (m,) for s in strings
+                   for m in c.morphisms_from(c.dst(s[-1]))]
     return strings
 
 
@@ -287,12 +324,8 @@ def twisted_arrow(c: FiniteCategory) -> FiniteCategory:
     morph = {}
     identity = {}
     for f in objects:
-        for a in c.morphisms():
-            if c.dst(a) != c.src(f):
-                continue
-            for b in c.morphisms():
-                if c.src(b) != c.dst(f):
-                    continue
+        for a in c.morphisms_to(c.src(f)):
+            for b in c.morphisms_from(c.dst(f)):
                 g = c.compose(b, c.compose(f, a))
                 morph[(a, f, b)] = (f, g)
         identity[f] = (c.identity[c.src(f)], f, c.identity[c.dst(f)])

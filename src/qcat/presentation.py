@@ -5,10 +5,15 @@ Relators are kept cyclically reduced.  Simplification repeatedly eliminates
 a generator that appears exactly once in some relator; that move never
 changes the group, so invariants such as the abelianization are preserved
 and a presentation that shrinks to no generators certifies triviality.
+
+The moves come in a fixed order (see `GroupPresentation.simplified`), and
+each one rewrites and re-keys only the relators that hold the eliminated
+generator, so its cost follows those relators, not the whole presentation.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .snf import smith_diagonal, torsion_from_diagonal
@@ -112,54 +117,87 @@ class GroupPresentation:
     def simplified(self, budget: int = 10000) -> "GroupPresentation":
         """Eliminate generators occurring exactly once in some relator.
 
-        Deterministic: scans relators shortest-first and generators in name
-        order.  `budget` caps the number of elimination passes, so the call
-        terminates even on adversarial growth.
+        Deterministic: each move takes the least relator under
+        (length, word) that has a generator occurring once in it, and the
+        least such generator by name; that relator is solved for the
+        generator and dropped, and the solution is substituted into the
+        rest.  After every move the relators are cyclically reduced,
+        empty ones dropped, and of relators with the same cyclic key
+        (rotation and inversion) only the earliest in list order kept.
+        `budget` caps the number of moves, so the call terminates even on
+        adversarial growth.
+
+        The state is updated in place rather than rebuilt per move: the
+        relators sit in fixed slots in list order, an index maps each
+        generator to the slots that mention it, each slot keeps its
+        cyclic key and a key map finds duplicates, and a heap holds
+        (length, word, slot) for relators with a generator occurring
+        once, entries going stale when their slot changes.  A move thus
+        touches only the relators holding the eliminated generator.
         """
         gens = sorted(self.generators)
-        rels = [cyclic_reduce(r) for r in self.relators]
+        rels: list[Word | None] = [None] * len(self.relators)
+        keys: list = [None] * len(self.relators)
+        slot_of_key: dict = {}
+        slots_with: dict[str, set[int]] = {g: set() for g in gens}
+        ready: list[tuple[int, Word, int]] = []
+
+        def drop(i: int):
+            for g, _ in rels[i]:
+                slots_with[g].discard(i)
+            del slot_of_key[keys[i]]
+            rels[i] = None
+
+        def place(i: int, word: Word):
+            # an empty relator is dropped; of two with one key the lower slot stays
+            if not word:
+                return
+            key = _cyclic_key(word)
+            other = slot_of_key.get(key)
+            if other is not None:
+                if other < i:
+                    return
+                drop(other)
+            rels[i], keys[i], slot_of_key[key] = word, key, i
+            for g, _ in word:
+                slots_with[g].add(i)
+            if _lone_generator(word) is not None:
+                heapq.heappush(ready, (len(word), word, i))
+
+        for i, rel in enumerate(self.relators):
+            place(i, cyclic_reduce(rel))
         steps = 0
-        while steps < budget:
-            rels = _tidy(rels)
-            move = _find_elimination(gens, rels)
-            if move is None:
-                break
-            gen, rel_idx = move
-            rel = rels.pop(rel_idx)
+        while steps < budget and ready:
+            _, rel, i = heapq.heappop(ready)
+            if rels[i] != rel:
+                continue
+            gen = _lone_generator(rel)
             replacement = _solve_for(rel, gen)
             gens.remove(gen)
-            rels = [cyclic_reduce(_substitute(r, gen, replacement)) for r in rels]
+            drop(i)
+            # clear every touched slot before refilling any, so that no
+            # stale key of a touched relator shadows a new one
+            touched = sorted(slots_with[gen])
+            old = [rels[j] for j in touched]
+            for j in touched:
+                drop(j)
+            del slots_with[gen]
+            for j, word in zip(touched, old):
+                place(j, cyclic_reduce(_substitute(word, gen, replacement)))
             steps += 1
-        rels = _tidy(rels)
-        return GroupPresentation(tuple(gens), tuple(rels))
+        return GroupPresentation(tuple(gens),
+                                 tuple(r for r in rels if r is not None))
 
     def is_recognizably_trivial(self, budget: int = 10000) -> bool:
         return not self.simplified(budget).generators
 
 
-def _tidy(rels: list[Word]) -> list[Word]:
-    out = []
-    seen = set()
-    for rel in rels:
-        if not rel:
-            continue
-        key = _cyclic_key(rel)
-        if key not in seen:
-            seen.add(key)
-            out.append(rel)
-    return out
-
-
-def _find_elimination(gens: list[str], rels: list[Word]):
-    order = sorted(range(len(rels)), key=lambda i: (len(rels[i]), rels[i]))
-    for i in order:
-        counts: dict[str, int] = {}
-        for g, _ in rels[i]:
-            counts[g] = counts.get(g, 0) + 1
-        once = sorted(g for g, c in counts.items() if c == 1)
-        if once:
-            return once[0], i
-    return None
+def _lone_generator(word: Word):
+    """The least generator occurring exactly once in `word`, or None."""
+    counts: dict[str, int] = {}
+    for g, _ in word:
+        counts[g] = counts.get(g, 0) + 1
+    return min((g for g, c in counts.items() if c == 1), default=None)
 
 
 def _solve_for(rel: Word, gen: str) -> Word:

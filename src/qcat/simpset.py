@@ -488,14 +488,6 @@ class LevelModel:
                 used.add(name)
                 ids[(n, t)] = name
 
-        def resolve(n, t) -> Value:
-            word: Word = ()
-            while (n, t) in mark:
-                j, parent = mark[(n, t)]
-                word = _append_inner(word, j)
-                n, t = n - 1, parent
-            return (_normalize(word), ids[(n, t)])
-
         dims = {}
         faces = {}
         token_of = {}
@@ -504,22 +496,21 @@ class LevelModel:
             token_of[name] = t
             if n > 0:
                 faces[name] = tuple(
-                    resolve(n - 1, self.act(DeltaMap.coface(i, n), t))
+                    _resolve(mark, ids, n - 1, self.act(DeltaMap.coface(i, n), t))
                     for i in range(n + 1))
         sset = SimplicialSet(dims, faces, self.truncation)
         return CompiledLevelModel(sset, tokens, mark, ids, token_of, self)
 
 
-def _append_inner(word: Word, j: int) -> Word:
-    # letters discovered outermost-first: append at the right, normalize later
-    return word + (j,)
-
-
-def _normalize(word: Word) -> Word:
-    out: Word = ()
-    for letter in reversed(word):
-        out = insert_degeneracy(letter, out)
-    return out
+def _resolve(mark, ids, n, t) -> Value:
+    """The value of token t at level n: follow the degeneracy marks down to
+    a nondegenerate token, collecting letters outermost-first."""
+    word: Word = ()
+    while (n, t) in mark:
+        j, parent = mark[(n, t)]
+        word += (j,)
+        n, t = n - 1, parent
+    return (compose_words(word, ()), ids[(n, t)])
 
 
 @dataclass
@@ -532,12 +523,7 @@ class CompiledLevelModel:
     model: LevelModel
 
     def value_of_token(self, n, t) -> Value:
-        word: Word = ()
-        while (n, t) in self.mark:
-            j, parent = self.mark[(n, t)]
-            word = word + (j,)
-            n, t = n - 1, parent
-        return (_normalize(word), self.ids[(n, t)])
+        return _resolve(self.mark, self.ids, n, t)
 
 
 def truncate(x: SimplicialSet, depth: int) -> SimplicialSet:

@@ -23,6 +23,7 @@ from qcat.simpset import (
     standard_simplex,
     truncate,
 )
+from triangulations import HOMOLOGY, surface
 
 
 def test_apply_object_values():
@@ -162,3 +163,12 @@ def test_small_words_subdivide_small_simplices(word, m_max):
     # passes on small simplices
     verdict = is_combinatorial_subdivision(word, m_max)
     assert verdict.status == "subdivision"
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_edgewise_subdivision_preserves_surface_homology(name, seed):
+    # depth 3 determines the subdivision's homology through degree 2
+    x = surface(name, moves=seed + 1, seed=seed)
+    assert x.homology() == HOMOLOGY[name]
+    assert edgewise(x, 3).homology() == HOMOLOGY[name]

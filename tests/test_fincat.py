@@ -1,10 +1,14 @@
 """Finite categories, their nerves, and the twisted arrow comparison."""
 
+import random
+
 import pytest
 
+from qcat.exact import AbPInstance, VectInstance
 from qcat.fincat import (
     FiniteCategory,
     FunctorData,
+    _nerve_levels,
     chain_poset,
     check_axioms,
     comma,
@@ -19,6 +23,7 @@ from qcat.fincat import (
     twisted_arrow,
     twisted_projection,
 )
+from qcat.qcons import q_category
 from qcat.simpset import left_fibration_check
 
 
@@ -195,3 +200,108 @@ def test_nerve_map_deepens_target_when_images_degenerate():
     # the single nondegenerate edge collapses onto the vertex
     edge = f.source.nondeg(1)[0]
     assert f.on_value(((), edge)) == ((0,), f.target.nondeg(0)[0])
+
+
+# -- index and axiom check against the scans they replaced -----------------
+
+
+def reference_check_axioms(c):
+    """check_axioms as an exhaustive scan over all M^3 triples."""
+    problems = []
+    for x in c.objects:
+        e = c.identity.get(x)
+        if e is None or e not in c.morph:
+            problems.append(f"object {x!r} has no identity morphism")
+        elif c.morph[e] != (x, x):
+            problems.append(f"identity of {x!r} is not an endomorphism of it")
+    for m, (s, t) in c.morph.items():
+        if s not in c.objects or t not in c.objects:
+            problems.append(f"morphism {m!r} has unknown endpoints")
+    for g in c.morph:
+        for f in c.morph:
+            composable = c.dst(f) == c.src(g)
+            present = (g, f) in c.compose_table
+            if composable and not present:
+                problems.append(f"missing composite {g!r} after {f!r}")
+            if present and not composable:
+                problems.append(f"composite defined for non-composable {g!r}, {f!r}")
+            if present:
+                gf = c.compose_table[(g, f)]
+                if gf not in c.morph:
+                    problems.append(f"composite {g!r} after {f!r} is unknown")
+                elif composable and c.morph[gf] != (c.src(f), c.dst(g)):
+                    problems.append(f"composite {g!r} after {f!r} has wrong endpoints")
+    if problems:
+        return problems
+    for f in c.morph:
+        if c.compose((c.identity[c.dst(f)]), f) != f:
+            problems.append(f"left unit law fails at {f!r}")
+        if c.compose(f, c.identity[c.src(f)]) != f:
+            problems.append(f"right unit law fails at {f!r}")
+    for h in c.morph:
+        for g in c.morph:
+            if c.dst(g) != c.src(h):
+                continue
+            hg = c.compose(h, g)
+            for f in c.morph:
+                if c.dst(f) != c.src(g):
+                    continue
+                if c.compose(hg, f) != c.compose(h, c.compose(g, f)):
+                    problems.append(f"associativity fails at ({h!r}, {g!r}, {f!r})")
+    return problems
+
+
+@pytest.fixture(scope="module")
+def sample_categories():
+    cats = dict(corpus())
+    for name, c in corpus().items():
+        cats["tw " + name] = twisted_arrow(c)
+    cats["bz2 x poset_0<1<2"] = product_category(
+        cyclic_group_category(2), chain_poset(2))
+    cats["Q(vect:2:1)"] = q_category(VectInstance(2, 1)).category
+    cats["Q(abp:2:4)"] = q_category(AbPInstance(2, 4)).category
+    return cats
+
+
+def test_morphism_index_keeps_the_sorted_scan_order(sample_categories):
+    for name, c in sample_categories.items():
+        order = sorted(c.morph, key=repr)
+        assert c.morphisms() == order, name
+        for x in c.objects:
+            assert c.morphisms_from(x) == tuple(
+                m for m in order if c.src(m) == x), name
+            assert c.morphisms_to(x) == tuple(
+                m for m in order if c.dst(m) == x), name
+            for y in c.objects:
+                assert c.hom(x, y) == [m for m in order
+                                       if c.morph[m] == (x, y)], name
+        strings = [(m,) for m in order]
+        for n in (1, 2, 3):
+            assert _nerve_levels(c, n) == strings, (name, n)
+            strings = [s + (m,) for s in strings for m in order
+                       if c.dst(s[-1]) == c.src(m)]
+
+
+def test_check_axioms_matches_full_scan(sample_categories):
+    for name, c in sample_categories.items():
+        assert check_axioms(c) == reference_check_axioms(c) == [], name
+
+
+def test_check_axioms_matches_full_scan_on_corrupted_tables(sample_categories):
+    rng = random.Random(7)
+    flagged = 0
+    for name, c in sample_categories.items():
+        pairs = sorted(c.compose_table, key=repr)
+        for _ in range(6):
+            g, f = pairs[rng.randrange(len(pairs))]
+            # a wrong composite with the right endpoints reaches the
+            # associativity scan; one with wrong endpoints stops before it
+            same_ends = [m for m in c.morph if c.morph[m] == (c.src(f), c.dst(g))]
+            bad = rng.choice(same_ends if rng.random() < 0.8 else sorted(c.morph, key=repr))
+            table = dict(c.compose_table)
+            table[(g, f)] = bad
+            broken = FiniteCategory(c.objects, c.morph, c.identity, table)
+            problems = check_axioms(broken)
+            assert problems == reference_check_axioms(broken), (name, g, f, bad)
+            flagged += any("associativity" in p for p in problems)
+    assert flagged >= 10
