@@ -12,7 +12,7 @@ kept alongside as a decidable negative control for the subdivision test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .ordmaps import DeltaMap
 from .parallel import parallel_map
@@ -23,6 +23,7 @@ from .simpset import (
     SimplicialSet,
     contractibility,
     op_word,
+    product_model,
     standard_simplex,
 )
 
@@ -113,7 +114,7 @@ def pullback_model(word, x: SimplicialSet, depth: int) -> LevelModel:
     _require_depth(word, x, depth)
     return LevelModel(
         levels=lambda n: x.values(word.apply_object(n)),
-        act=lambda f, v: x.act(word.apply_map(f), v),
+        act=lambda f: x.action(word.apply_map(f)),
         max_dim=depth,
         truncation=depth,
     )
@@ -147,17 +148,8 @@ def edgewise_structure_map(x: SimplicialSet, depth: int) -> SimplicialMap:
     in the opposite's normal form) and the second along i -> n+1+i.
     """
     src = pullback_model(EDGEWISE, x, depth).compile()
-    op_x = x.opposite()
-    if x.truncation is None:
-        prod_top, prod_trunc = 2 * x.max_nondeg_dim(), None
-    else:
-        prod_top = prod_trunc = x.truncation
-    prod = LevelModel(
-        levels=lambda n: [(a, b) for a in op_x.values(n) for b in x.values(n)],
-        act=lambda f, t: (op_x.act(f, t[0]), x.act(f, t[1])),
-        max_dim=max(prod_top, depth),
-        truncation=prod_trunc,
-    ).compile()
+    model = product_model(x.opposite(), x)
+    prod = replace(model, max_dim=max(model.max_dim, depth)).compile()
 
     assignment = {}
     for name, n in src.space.dims.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .delta import EDGEWISE
+from .errors import GuardError
 from .ordmaps import DeltaMap
 from .simpset import LevelModel, SimplicialMap, SimplicialSet
 
@@ -210,34 +211,40 @@ class FunctorData:
 # -- nerve ---------------------------------------------------------------
 
 
-def nerve_act(c: FiniteCategory, f: DeltaMap, token):
-    """Contravariant action of a monotone map on a composable string.
+def nerve_action(c: FiniteCategory, f: DeltaMap):
+    """Contravariant action of a monotone map on composable strings.
 
-    The token lives at level f.target_arity: an object when that is 0, a
-    tuple of morphism ids otherwise (so tuple-valued object names stay
-    unambiguous).
+    Returns the function on tokens at level f.target_arity: an object when
+    that is 0, a tuple of morphism ids otherwise (so tuple-valued object
+    names stay unambiguous).  The (lo, hi) segment of each output arrow is
+    read off f once, here; the function composes token[lo:hi] for each
+    segment, or takes the identity at vertex lo when lo == hi.
     """
     n = f.target_arity
 
-    def vertex(j):
+    def vertex(token, j):
         if n == 0:
             return token
         return c.src(token[0]) if j == 0 else c.dst(token[j - 1])
 
-    a = f.source_arity
-    if a == 0:
-        return vertex(f(0))
-    out = []
-    for k in range(1, a + 1):
-        lo, hi = f(k - 1), f(k)
-        if lo == hi:
-            out.append(c.identity[vertex(lo)])
-        else:
-            seg = token[lo]
-            for t in range(lo + 1, hi):
-                seg = c.compose(token[t], seg)
-            out.append(seg)
-    return tuple(out)
+    if f.source_arity == 0:
+        v = f(0)
+        return lambda token: vertex(token, v)
+    segments = [(f(k - 1), f(k)) for k in range(1, f.source_arity + 1)]
+
+    def apply(token):
+        out = []
+        for lo, hi in segments:
+            if lo == hi:
+                out.append(c.identity[vertex(token, lo)])
+            else:
+                seg = token[lo]
+                for t in range(lo + 1, hi):
+                    seg = c.compose(token[t], seg)
+                out.append(seg)
+        return tuple(out)
+
+    return apply
 
 
 def _nerve_levels(c: FiniteCategory, n: int):
@@ -261,6 +268,32 @@ def _identity_free_count(c: FiniteCategory, n: int) -> int:
     return sum(count.values()) if n >= 1 else len(c.objects)
 
 
+# The most strings one nerve level may hold.  Compiling a level keeps every
+# string, its faces and their values in memory; Q(abp:2:8) at depth 3 would
+# need 8,831,325 strings at level 3 and exhausts memory long before that.
+NERVE_LEVEL_LIMIT = 1_000_000
+
+
+def _require_nerve_size(c: FiniteCategory, max_dim: int):
+    """Raise GuardError if a nerve level through max_dim would hold more
+    than NERVE_LEVEL_LIMIT strings.
+
+    `ending[x]` counts the composable strings of the current length that
+    end at x, so each level costs one pass over the morphisms.
+    """
+    ending = dict.fromkeys(c.objects, 1)
+    for n in range(max_dim + 1):
+        if n > 0:
+            nxt = dict.fromkeys(c.objects, 0)
+            for s, t in c.morph.values():
+                nxt[t] += ending[s]
+            ending = nxt
+        count = sum(ending.values())
+        if count > NERVE_LEVEL_LIMIT:
+            raise GuardError(f"nerve: level {n} would hold {count} strings, "
+                             f"over the limit of {NERVE_LEVEL_LIMIT}")
+
+
 def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
     """Level model of the nerve; detects completeness when strings of
     nonidentity morphisms die out, otherwise truncates at `depth`."""
@@ -279,9 +312,10 @@ def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
         raise ValueError(
             "category has arbitrarily long composable strings; "
             "pass an explicit nerve depth")
+    _require_nerve_size(c, max_dim)
     return LevelModel(
         levels=lambda n: _nerve_levels(c, n),
-        act=lambda f, t: nerve_act(c, f, t),
+        act=lambda f: nerve_action(c, f),
         max_dim=max_dim,
         truncation=trunc,
     )
@@ -298,6 +332,7 @@ def nerve_map(fun: FunctorData, depth: int | None = None) -> SimplicialMap:
     # the image of a long identity-free string can involve identities, so
     # the target model must be compiled at least as deep as the source
     if dst_model.max_dim < src_model.max_dim:
+        _require_nerve_size(fun.target, src_model.max_dim)
         dst_model = LevelModel(dst_model.levels, dst_model.act,
                                src_model.max_dim, dst_model.truncation)
     dst = dst_model.compile()
@@ -378,10 +413,12 @@ def nerve_twisted_vs_edgewise(c: FiniteCategory, depth: int = 3):
                            f"{len(nc_tokens)} long strings")
         maps = [DeltaMap.coface(i, n) for i in range(n + 1)] if n >= 1 else []
         maps += [DeltaMap.codegeneracy(j, n) for j in range(n + 1)]
+        actions = [(g, nerve_action(tw, g), nerve_action(c, EDGEWISE.apply_map(g)))
+                   for g in maps]
         for token in tw_tokens:
-            for g in maps:
-                lhs = flatten(nerve_act(tw, g, token), g.source_arity)
-                rhs = nerve_act(c, EDGEWISE.apply_map(g), flatten(token, n))
+            for g, on_tw, on_c in actions:
+                lhs = flatten(on_tw(token), g.source_arity)
+                rhs = on_c(flatten(token, n))
                 if lhs != rhs:
                     return False, (f"level {n}: map {g.values} disagrees "
                                    f"at {token!r}")

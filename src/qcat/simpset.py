@@ -165,12 +165,28 @@ class SimplicialSet:
 
     def act(self, f: DeltaMap, value) -> Value:
         """Contravariant action: f:[a]->[b] sends a b-value to an a-value."""
-        if self.dim_of(value) != f.target_arity:
-            raise ValueError("value dimension does not match the map")
-        out = value
-        for kind, idx in f.elementary_ops():
-            out = self.face(out, idx) if kind == "d" else self.degeneracy(out, idx)
-        return out
+        return self.action(f)(value)
+
+    def action(self, f: DeltaMap):
+        """The contravariant action of f:[a]->[b] as a function from
+        b-values to a-values.
+
+        The elementary face and degeneracy steps of f are worked out once,
+        here, so the returned function can be applied to many values.  It
+        raises ValueError on a value that is not b-dimensional.
+        """
+        steps = [(self.face if kind == "d" else self.degeneracy, idx)
+                 for kind, idx in f.elementary_ops()]
+        b = f.target_arity
+
+        def apply(value) -> Value:
+            if self.dim_of(value) != b:
+                raise ValueError("value dimension does not match the map")
+            for step, idx in steps:
+                value = step(value, idx)
+            return value
+
+        return apply
 
     def values(self, n: int):
         """Every n-simplex, degenerate ones included, in a deterministic order."""
@@ -445,10 +461,14 @@ def contractibility(space: SimplicialSet, depth: int,
 class LevelModel:
     """A simplicial set described one level at a time.
 
-    `levels(n)` lists tokens for all n-simplices (degenerate included);
-    `act(f, token)` applies a monotone map contravariantly to a token at
-    level f.target_arity.  Compilation finds which tokens are degenerate,
-    assigns ids to the rest, and rebuilds face records over values.
+    `levels(n)` lists tokens for all n-simplices (degenerate included).
+    `act(f)` takes a monotone map f:[a]->[b] and returns the function that
+    applies f contravariantly, sending a level-b token to a level-a token.
+    Compilation asks for each map once per level and applies the function
+    it gets to every token there, so `act(f)` should do the work that
+    depends only on f before it returns.  Compilation finds which tokens
+    are degenerate, assigns ids to the rest, and rebuilds face records
+    over values.
     """
 
     levels: object
@@ -467,9 +487,9 @@ class LevelModel:
         for n in range(1, self.max_dim + 1):
             present = set(tokens[n])
             for j in range(n):
-                sj = DeltaMap.codegeneracy(j, n - 1)
+                sj = self.act(DeltaMap.codegeneracy(j, n - 1))
                 for t in tokens[n - 1]:
-                    image = self.act(sj, t)
+                    image = sj(t)
                     if image not in present:
                         raise ValueError(f"degeneracy left the level model at {t!r}")
                     key = (n, image)
@@ -488,6 +508,8 @@ class LevelModel:
                 used.add(name)
                 ids[(n, t)] = name
 
+        cofaces = {n: [self.act(DeltaMap.coface(i, n)) for i in range(n + 1)]
+                   for n in range(1, self.max_dim + 1)}
         dims = {}
         faces = {}
         token_of = {}
@@ -495,9 +517,8 @@ class LevelModel:
             dims[name] = n
             token_of[name] = t
             if n > 0:
-                faces[name] = tuple(
-                    _resolve(mark, ids, n - 1, self.act(DeltaMap.coface(i, n), t))
-                    for i in range(n + 1))
+                faces[name] = tuple(_resolve(mark, ids, n - 1, d(t))
+                                    for d in cofaces[n])
         sset = SimplicialSet(dims, faces, self.truncation)
         return CompiledLevelModel(sset, tokens, mark, ids, token_of, self)
 
@@ -586,7 +607,12 @@ def simplicial_set_from_triangulation(triangles) -> SimplicialSet:
 
 
 def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
-    """Degreewise product, compiled from the level model of value pairs.
+    """Degreewise product, compiled from the level model of value pairs."""
+    return product_model(x, y).compile().space
+
+
+def product_model(x: SimplicialSet, y: SimplicialSet) -> LevelModel:
+    """Level model of the degreewise product; its tokens are value pairs.
 
     A pair of values is nondegenerate exactly when the two degeneracy
     words share no letter, so a complete product needs levels only up to
@@ -600,13 +626,16 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
         max_dim = x.max_nondeg_dim() + y.max_nondeg_dim()
         trunc = None
 
-    model = LevelModel(
+    def act(f):
+        on_x, on_y = x.action(f), y.action(f)
+        return lambda t: (on_x(t[0]), on_y(t[1]))
+
+    return LevelModel(
         levels=lambda n: [(a, b) for a in x.values(n) for b in y.values(n)],
-        act=lambda f, t: (x.act(f, t[0]), y.act(f, t[1])),
+        act=act,
         max_dim=max(max_dim, 0),
         truncation=trunc,
     )
-    return model.compile().space
 
 
 # -- maps ---------------------------------------------------------------

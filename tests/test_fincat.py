@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from qcat import fincat
+from qcat.cli import main
+from qcat.errors import GuardError
 from qcat.exact import AbPInstance, VectInstance
 from qcat.fincat import (
     FiniteCategory,
@@ -16,6 +19,7 @@ from qcat.fincat import (
     cyclic_group_category,
     nerve,
     nerve_map,
+    nerve_model,
     nerve_twisted_vs_edgewise,
     opposite_cat,
     parallel_pair,
@@ -200,6 +204,55 @@ def test_nerve_map_deepens_target_when_images_degenerate():
     # the single nondegenerate edge collapses onto the vertex
     edge = f.source.nondeg(1)[0]
     assert f.on_value(((), edge)) == ((0,), f.target.nondeg(0)[0])
+
+
+# -- the nerve size guard ----------------------------------------------------
+
+
+def test_nerve_guard_names_the_level_and_its_size(monkeypatch):
+    c = q_category(AbPInstance(2, 4)).category
+    assert len(_nerve_levels(c, 3)) == 852
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 852)
+    assert nerve_model(c, 3).max_dim == 3
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 851)
+    with pytest.raises(GuardError, match="nerve: level 3 would hold 852 "
+                                         "strings, over the limit of 851"):
+        nerve_model(c, 3)
+
+
+def test_nerve_guard_exits_one_through_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 851)
+    rc = main(["k0", "--instance", "abp:2:4", "--depth", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == ("qcat k0: guard: nerve: level 3 would hold 852 strings, "
+                   "over the limit of 851\n")
+
+
+def test_nerve_guard_covers_the_deepened_target_of_a_nerve_map(monkeypatch):
+    # five parallel arrows a -> b: complete at level 1 (7 strings), but a
+    # level-2 source string needs its level 2 (12 strings)
+    morph = {"ida": ("a", "a"), "idb": ("b", "b")}
+    morph.update({f"f{i}": ("a", "b") for i in range(5)})
+    ident = {"a": "ida", "b": "idb"}
+    table = {}
+    for m, (s, t) in morph.items():
+        table[(m, ident[s])] = m
+        table[(ident[t], m)] = m
+    arrows = FiniteCategory(("a", "b"), morph, ident, table)
+    fun = FunctorData(
+        chain_poset(2), arrows,
+        on_objects={0: "a", 1: "b", 2: "b"},
+        on_morphisms={"0->0": "ida", "1->1": "idb", "2->2": "idb",
+                      "0->1": "f0", "0->2": "f0", "1->2": "idb"},
+    )
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 10)
+    assert nerve_model(chain_poset(2)).max_dim == 2
+    assert nerve_model(arrows).max_dim == 1
+    with pytest.raises(GuardError, match="nerve: level 2 would hold 12 "
+                                         "strings, over the limit of 10"):
+        nerve_map(fun)
 
 
 # -- index and axiom check against the scans they replaced -----------------

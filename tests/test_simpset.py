@@ -1,11 +1,18 @@
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcat import simpset
+from qcat.delta import parse_word, pullback_model
+from qcat.exact import VectInstance
+from qcat.fincat import nerve_model
+from qcat.formats import load_category
 from qcat.ordmaps import DeltaMap, all_maps
+from qcat.qcons import q_category
 from qcat.simpset import (
+    LevelModel,
     SimplicialMap,
     SimplicialSet,
     boundary_of_simplex,
@@ -15,6 +22,7 @@ from qcat.simpset import (
     insert_degeneracy,
     left_fibration_check,
     product,
+    product_model,
     simplicial_circle,
     simplicial_set_from_triangulation,
     standard_simplex,
@@ -238,3 +246,128 @@ def test_act_identity_is_identity(n):
     ident = DeltaMap.identity(n)
     for v in space.values(n):
         assert space.act(ident, v) == v
+
+
+def test_action_rejects_a_value_of_the_wrong_dimension(rp2):
+    f = DeltaMap.coface(0, 2)
+    edge, triangle = rp2.values(1)[0], rp2.values(2)[0]
+    apply = rp2.action(f)
+    assert apply(triangle) == rp2.face(triangle, 0) == rp2.act(f, triangle)
+    with pytest.raises(ValueError, match="value dimension does not match the map"):
+        rp2.act(f, edge)
+    with pytest.raises(ValueError, match="value dimension does not match the map"):
+        apply(edge)
+
+
+# -- the level-model compiler against the per-token one it replaced --------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def reference_compile(model: LevelModel):
+    """`LevelModel.compile` as it was when `act` took a map and one token:
+    every map's action is worked out again for every token it meets.
+    Driven through an adapter from the `act(f)` contract."""
+    def act(f, t):
+        return model.act(f)(t)
+
+    tokens = {n: list(model.levels(n)) for n in range(model.max_dim + 1)}
+    for n, toks in tokens.items():
+        if len(set(toks)) != len(toks):
+            raise ValueError(f"duplicate tokens at level {n}")
+    mark = {}
+    for n in range(1, model.max_dim + 1):
+        present = set(tokens[n])
+        for j in range(n):
+            sj = DeltaMap.codegeneracy(j, n - 1)
+            for t in tokens[n - 1]:
+                image = act(sj, t)
+                if image not in present:
+                    raise ValueError(f"degeneracy left the level model at {t!r}")
+                if (n, image) not in mark:
+                    mark[(n, image)] = (j, t)
+    ids = {}
+    used = set()
+    for n in range(model.max_dim + 1):
+        for t in tokens[n]:
+            if (n, t) in mark:
+                continue
+            name = model.label(n, t) if model.label else t
+            if name in used:
+                raise ValueError(f"duplicate simplex id {name!r}")
+            used.add(name)
+            ids[(n, t)] = name
+    dims, faces, token_of = {}, {}, {}
+    for (n, t), name in ids.items():
+        dims[name] = n
+        token_of[name] = t
+        if n > 0:
+            faces[name] = tuple(
+                simpset._resolve(mark, ids, n - 1, act(DeltaMap.coface(i, n), t))
+                for i in range(n + 1))
+    return (SimplicialSet(dims, faces, model.truncation), tokens, mark, ids,
+            token_of)
+
+
+def _compile_models():
+    for m in (1, 2, 3):
+        for word in ("op,id", "op,id,op", "id,op,id", "const:1"):
+            for depth in (2, 3, 4):
+                yield (f"pullback-d{m}-{word}-{depth}",
+                       lambda m=m, word=word, depth=depth: pullback_model(
+                           parse_word(word), standard_simplex(m), depth))
+    yield ("product-d1-d2",
+           lambda: product_model(standard_simplex(1), standard_simplex(2)))
+    yield ("product-circle-circle",
+           lambda: product_model(simplicial_circle(), simplicial_circle()))
+    for name, depth in (("bz2", 3), ("poset3", None)):
+        yield (f"nerve-{name}", lambda name=name, depth=depth: nerve_model(
+            load_category((FIXTURES / f"{name}.cat").read_text()), depth))
+    yield ("nerve-Q(vect:2:1)",
+           lambda: nerve_model(q_category(VectInstance(2, 1)).category, 3))
+
+
+COMPILE_MODELS = list(_compile_models())
+
+
+@pytest.mark.parametrize("build", [b for _, b in COMPILE_MODELS],
+                         ids=[name for name, _ in COMPILE_MODELS])
+def test_compile_matches_the_per_token_reference(build):
+    model = build()
+    got = model.compile()
+    space, tokens, mark, ids, token_of = reference_compile(model)
+    assert got.space == space
+    assert list(got.space.dims.items()) == list(space.dims.items())
+    assert got.tokens == tokens
+    # dict order too: it fixes the order of the compiled simplices
+    assert list(got.mark.items()) == list(mark.items())
+    assert list(got.ids.items()) == list(ids.items())
+    assert list(got.token_of.items()) == list(token_of.items())
+    assert got.model is model
+
+
+def _identity_action(f):
+    return lambda t: t
+
+
+def test_compile_rejects_duplicate_tokens():
+    model = LevelModel(levels=lambda n: ["v", "w", "v"], act=_identity_action,
+                       max_dim=0)
+    with pytest.raises(ValueError, match="duplicate tokens at level 0"):
+        model.compile()
+
+
+def test_compile_rejects_a_degeneracy_that_leaves_the_model():
+    levels = {0: ["v"], 1: ["e"]}
+    model = LevelModel(levels=levels.__getitem__,
+                       act=lambda f: lambda t: "elsewhere", max_dim=1)
+    with pytest.raises(ValueError,
+                       match="degeneracy left the level model at 'v'"):
+        model.compile()
+
+
+def test_compile_rejects_duplicate_simplex_ids():
+    model = LevelModel(levels=lambda n: ["v", "w"], act=_identity_action,
+                       max_dim=0, label=lambda n, t: "pt")
+    with pytest.raises(ValueError, match="duplicate simplex id 'pt'"):
+        model.compile()

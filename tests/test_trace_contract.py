@@ -1,12 +1,17 @@
 """The benchmark's layer trace wraps qcat functions by name from outside
-the package.  A rename or deletion here would only surface in a traced
-benchmark run, so check that every name it wraps still resolves."""
+the package and reads fields of what they return.  A rename or deletion
+here would only surface in a traced benchmark run, so check that every
+name it wraps still resolves and that the fields it reads are there."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from qcat.delta import EDGEWISE, pullback_model
+from qcat.fincat import chain_poset, nerve_model
+from qcat.simpset import standard_simplex
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -18,7 +23,8 @@ def _load_tracer():
     return tracer
 
 
-LAYERS = _load_tracer().LAYERS
+TRACER_MODULE = _load_tracer()
+LAYERS = TRACER_MODULE.LAYERS
 
 
 @pytest.mark.parametrize("module,path,span", LAYERS,
@@ -29,3 +35,19 @@ def test_traced_layer_resolves(module, path, span):
     for part in outer:
         owner = getattr(owner, part)
     assert callable(owner.__dict__[attr]), span
+
+
+def test_compile_result_has_the_fields_the_tracer_reads():
+    """`_compile_after` counts `space.dims` and, for a model built by
+    `nerve_model`, the `tokens` of each level."""
+    rec = TRACER_MODULE.Recorder("contract")
+    nerve = nerve_model(chain_poset(1))
+    rec.nerve_models[id(nerve)] = nerve
+    pull = pullback_model(EDGEWISE, standard_simplex(1), 2)
+    for model, cells, tokens in ((nerve, 3, 2 + 3), (pull, 5, 3 + 5 + 7)):
+        result = model.compile()
+        assert len(result.space.dims) == cells
+        assert sum(len(toks) for toks in result.tokens.values()) == tokens
+        TRACER_MODULE._compile_after(rec, (model,), result)
+    assert rec.counts["simpset.cells"] == 3 + 5
+    assert rec.counts["fincat.nerve_tokens"] == 2 + 3
