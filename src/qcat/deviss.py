@@ -183,8 +183,8 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     stage_objects = []
     stage_incls = []               # into x, used to express the chain maps
     for stage in stage_sets:
-        basis = zmod.basis_of(moduli, stage, p)
-        obj = t.object_of_structure(zmod.structure_of(moduli, stage, p))
+        struct, basis = zmod.subgroup_basis(moduli, stage, p)
+        obj = t.object_of_structure(struct)
         rows = tuple(tuple(b[k] for b in basis) for k in range(len(moduli)))
         stage_objects.append(obj)
         stage_incls.append(Mor(obj, x, rows))
@@ -200,10 +200,8 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     witnesses = []
     isos = []
     for i, step in enumerate(inclusions):
-        image = {t.apply(step, v) for v in t.elements(step.src)}
-        view = zmod.QuotientView(t.moduli_of(step.dst),
-                                 zmod.closure(t.moduli_of(step.dst), image), p)
-        struct = view.structure
+        struct, _ = zmod.quotient_map(t.moduli_of(step.dst),
+                                      list(zip(*step.rows)), p)
         if any(e != 1 for e in struct):
             raise ValueError(
                 f"stage {i + 1} quotient of {t.label(x)} is not elementary abelian")

@@ -16,7 +16,6 @@ the span's isomorphism class.  Composition is relation composition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import zmod
 from .errors import GuardError
@@ -148,28 +147,24 @@ class Instance:
 
     def cokernel(self, f: Mor):
         """Returns (c, q: f.dst -> c) with q the canonical projection."""
-        dst_moduli = self.moduli_of(f.dst)
-        image = zmod.closure(
-            dst_moduli, [self.apply(f, v) for v in self.elements(f.src)])
-        view = zmod.QuotientView(dst_moduli, image, self.p)
-        c = self.object_of_structure(view.structure)
-        return c, Mor(f.dst, c, view.matrix_from_ambient())
+        struct, rows = zmod.quotient_map(self.moduli_of(f.dst),
+                                         list(zip(*f.rows)), self.p)
+        c = self.object_of_structure(struct)
+        return c, Mor(f.dst, c, rows)
 
     def kernel(self, f: Mor):
         """Returns (k, i: k -> f.src) with i the canonical inclusion."""
-        src_moduli = self.moduli_of(f.src)
         z = zmod.zero(self.moduli_of(f.dst))
         members = [v for v in self.elements(f.src) if self.apply(f, v) == z]
-        basis = zmod.basis_of(src_moduli, members, self.p)
-        k = self.object_of_structure(
-            zmod.structure_of(src_moduli, members, self.p))
-        rows = tuple(tuple(b[i] for b in basis)
-                     for i in range(len(src_moduli)))
-        return k, Mor(k, f.src, rows)
+        struct, basis = zmod.subgroup_basis(self.moduli_of(f.src),
+                                            members, self.p)
+        k = self.object_of_structure(struct)
+        return k, Mor(k, f.src, _columns(basis, len(self.moduli_of(f.src))))
 
-    def _exps_of(self, x) -> tuple[int, ...]:
-        return zmod.structure_of(self.moduli_of(x),
-                                 self.elements(x), self.p)
+
+def _columns(basis, n: int) -> tuple:
+    """Rows of the map whose j-th column is basis[j]."""
+    return tuple(tuple(b[i] for b in basis) for i in range(n))
 
 
 class VectInstance(Instance):
@@ -332,17 +327,13 @@ def span_legs(inst: Instance, s: Span):
     """Unpacks the canonical span as (w, e: w -> src, m: w -> dst)."""
     legs = inst._span_legs.get(s)
     if legs is None:
-        members = _span_members(inst, s)
         moduli = _pair_moduli(inst, s.src, s.dst)
-        basis = zmod.basis_of(moduli, members, inst.p)
-        w = inst.object_of_structure(
-            zmod.structure_of(moduli, members, inst.p))
+        struct, basis = zmod.subgroup_basis(moduli, s.key, inst.p)
+        w = inst.object_of_structure(struct)
+        rows = _columns(basis, len(moduli))
         nx = len(inst.moduli_of(s.src))
-        e_rows = tuple(tuple(b[i] for b in basis) for i in range(nx))
-        m_rows = tuple(tuple(b[nx + i] for b in basis)
-                       for i in range(len(inst.moduli_of(s.dst))))
-        legs = inst._span_legs[s] = (w, Mor(w, s.src, e_rows),
-                                     Mor(w, s.dst, m_rows))
+        legs = inst._span_legs[s] = (w, Mor(w, s.src, rows[:nx]),
+                                     Mor(w, s.dst, rows[nx:]))
     return legs
 
 
@@ -450,17 +441,12 @@ def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
         raise ValueError("first leg must be an admissible mono")
     if not inst.is_epi(e):
         raise ValueError("second leg must be an admissible epi")
+    # the antidiagonal images of Y's generators: columns of i over -e
+    anti = [(*(r[j] for r in i.rows), *(-r[j] for r in e.rows))
+            for j in range(len(inst.moduli_of(i.src)))]
     mu = inst.moduli_of(i.dst)
-    mv = inst.moduli_of(e.dst)
-    moduli = mu + mv
-    anti = zmod.closure(
-        moduli,
-        [(*inst.apply(i, y),
-          *zmod.neg(mv, inst.apply(e, y)))
-         for y in inst.elements(i.src)])
-    view = zmod.QuotientView(moduli, anti, inst.p)
-    w = inst.object_of_structure(view.structure)
-    proj = view.matrix_from_ambient()
+    struct, proj = zmod.quotient_map(mu + inst.moduli_of(e.dst), anti, inst.p)
+    w = inst.object_of_structure(struct)
     nu = len(mu)
     from_u = Mor(i.dst, w, tuple(row[:nu] for row in proj))
     from_v = Mor(e.dst, w, tuple(row[nu:] for row in proj))
@@ -613,12 +599,11 @@ def _raw_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
     nu = len(mu)
     members = [uv for uv in zmod.elements(moduli)
                if inst.apply(i, uv[:nu]) == inst.apply(e, uv[nu:])]
-    basis = zmod.basis_of(moduli, members, inst.p)
-    w = inst.object_of_structure(zmod.structure_of(moduli, members, inst.p))
-    to_u = Mor(w, i.src, tuple(tuple(b[k] for b in basis)
-                               for k in range(nu)))
-    to_v = Mor(w, e.src, tuple(tuple(b[nu + k] for b in basis)
-                               for k in range(len(mv))))
+    struct, basis = zmod.subgroup_basis(moduli, members, inst.p)
+    w = inst.object_of_structure(struct)
+    rows = _columns(basis, len(moduli))
+    to_u = Mor(w, i.src, rows[:nu])
+    to_v = Mor(w, e.src, rows[nu:])
     return Square(top=to_u, left=to_v, right=i, bottom=e)
 
 

@@ -136,9 +136,6 @@ class AmbigressiveDiagram:
     epis: dict
     monos: dict
 
-    def object_at(self, i: int, j: int):
-        return self.objects[(i, j)]
-
     def egressive_to(self, inst: Instance, i: int, j: int, l: int) -> Mor:
         f = inst.identity(self.objects[(i, j)])
         for col in range(j, l, -1):

@@ -11,7 +11,13 @@ row and column are dropped, which splits off a unit diagonal entry
 (Kaczynski, Mrozek & Ślusarek 1998; Dumas, Saunders & Villard 2001).
 Boundary matrices of simplicial sets have entries ±1 and few per row, so
 this step usually leaves nothing.  What remains, such as the Z/2 of the
-projective plane, goes to a dense Smith normal form.
+projective plane, goes to `smith_form`, the one dense Smith routine.
+
+`smith_form` also returns its column transform and that transform's
+inverse.  The boundary reductions read only the diagonal; `zmod` uses
+the transforms to turn a subgroup or quotient lattice into independent
+generators or a projection matrix (`zmod.subgroup_basis`,
+`zmod.quotient_map`).
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ def smith_diagonal(rows, n_cols: int | None = None) -> list[int]:
     units, rest = _eliminate_unit_pivots(a)
     live = sorted({j for r in rest for j in r})
     remainder = [[r.get(j, 0) for j in live] for r in rest]
-    return [1] * units + _dense_smith_diagonal(remainder, len(live))
+    return [1] * units + smith_form(remainder, len(live))[0]
 
 
 def _eliminate_unit_pivots(a):
@@ -95,11 +101,26 @@ def _eliminate_unit_pivots(a):
     return units, [r for r in rows if r]
 
 
-def _dense_smith_diagonal(rows, n_cols: int | None = None) -> list[int]:
-    """Dense elimination behind `smith_diagonal`, for what the sparse
-    step leaves; also the reference the tests compare against."""
+def smith_form(rows, n_cols: int | None = None):
+    """Dense Smith normal form with its column transform.
+
+    Returns (diag, v, v_inv): `diag` as in `smith_diagonal`, and v, v_inv
+    mutually inverse unimodular n_cols x n_cols matrices such that
+    u·a·v = D for some unimodular u, where D carries `diag` on its
+    diagonal and zeros elsewhere.  Row operations are not recorded.
+    """
     a, n = _checked(rows, n_cols)
     m = len(a)
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v_inv = [r[:] for r in v]
+
+    def swap_columns(t, j):
+        for r in a:
+            r[t], r[j] = r[j], r[t]
+        for r in v:
+            r[t], r[j] = r[j], r[t]
+        v_inv[t], v_inv[j] = v_inv[j], v_inv[t]
+
     diag = []
     t = 0
     while True:
@@ -111,10 +132,8 @@ def _dense_smith_diagonal(rows, n_cols: int | None = None) -> list[int]:
                 nz = [i for i in range(t, m) if a[i][t]]
                 if not nz:
                     # pull some nonzero column into position t
-                    j0 = next(j for j in range(t + 1, n)
-                              if any(a[i][j] for i in range(t, m)))
-                    for r in a:
-                        r[t], r[j0] = r[j0], r[t]
+                    swap_columns(t, next(j for j in range(t + 1, n)
+                                         if any(a[i][j] for i in range(t, m))))
                     continue
                 imin = min(nz, key=lambda i: abs(a[i][t]))
                 a[t], a[imin] = a[imin], a[t]
@@ -132,12 +151,15 @@ def _dense_smith_diagonal(rows, n_cols: int | None = None) -> list[int]:
             swapped = False
             for j in range(t + 1, n):
                 if a[t][j]:
+                    # column j -= q * column t, so row t of v_inv += q * row j
                     q = a[t][j] // a[t][t]
                     for i in range(t, m):
                         a[i][j] -= q * a[i][t]
+                    for r in v:
+                        r[j] -= q * r[t]
+                    v_inv[t] = [x + q * y for x, y in zip(v_inv[t], v_inv[j])]
                     if a[t][j]:
-                        for r in a:
-                            r[t], r[j] = r[j], r[t]
+                        swap_columns(t, j)
                         swapped = True
             if not swapped:
                 break
@@ -149,9 +171,10 @@ def _dense_smith_diagonal(rows, n_cols: int | None = None) -> list[int]:
             for j in range(t, n):
                 a[t][j] += a[offender][j]
             continue
+        # a negative pivot is a row sign, which u absorbs
         diag.append(abs(piv))
         t += 1
-    return diag
+    return diag, v, v_inv
 
 
 def integer_rank(rows, n_cols: int | None = None) -> int:

@@ -269,6 +269,43 @@ def test_kernel_and_cokernel(ab4):
     assert all(all(v == 0 for v in row) for row in z.rows)
 
 
+def _is_zero(f: Mor) -> bool:
+    return not any(any(row) for row in f.rows)
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2:4", "abp:3:9", "vect:2:2"])
+def test_kernel_and_cokernel_of_every_morphism(descriptor):
+    inst = parse_instance(descriptor)
+    objs = inst.objects()
+    homs = {(x, y): set(inst.hom(x, y)) for x in objs for y in objs}
+    for (x, y), fs in homs.items():
+        for f in fs:
+            image = len({inst.apply(f, v) for v in inst.elements(x)})
+            k, incl = inst.kernel(f)
+            assert incl in homs[(k, x)]  # well defined, reduced entries
+            assert inst.is_mono(incl)
+            assert _is_zero(inst.compose(f, incl))
+            assert inst.order(k) * image == inst.order(x)
+            c, proj = inst.cokernel(f)
+            assert proj in homs[(y, c)]
+            assert inst.is_epi(proj)
+            assert _is_zero(inst.compose(proj, f))
+            assert inst.order(c) * image == inst.order(y)
+
+
+def test_every_ambigressive_pushout_is_bicartesian(ab4):
+    objs = ab4.objects()
+    checked = 0
+    for y in objs:
+        monos = [i for u in objs for i in ab4.monos(y, u)]
+        epis = [e for v in objs for e in ab4.epis(y, v)]
+        for i in monos:
+            for e in epis:
+                assert bicartesian_check(ab4, ambigressive_pushout(ab4, i, e))
+                checked += 1
+    assert checked > 0
+
+
 def test_pullback_of_mod2_along_identity_is_cyclic(ab4):
     e = Mor((2,), (1,), ((1,),))
     sq = ambigressive_pullback(ab4, ab4.identity((1,)), e)

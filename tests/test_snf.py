@@ -6,10 +6,10 @@ import pytest
 
 from qcat.formats import load_sset
 from qcat.snf import (
-    _dense_smith_diagonal,
     hermite_rows,
     integer_rank,
     smith_diagonal,
+    smith_form,
     torsion_from_diagonal,
 )
 
@@ -75,9 +75,17 @@ def matmul(a, b, n):
 
 def assert_oracles_agree(rows, n, with_sympy):
     d = smith_diagonal(rows, n)
-    assert d == _dense_smith_diagonal(rows, n), rows
+    diag, v, v_inv = smith_form(rows, n)
+    assert d == diag, rows
     if with_sympy:
         assert d == sympy_smith(rows, n), rows
+    # v is unimodular with inverse v_inv, and a·v spans the same row
+    # lattice as the diagonal form: u·a·v = D for a unimodular u
+    assert matmul(v, v_inv, n) == [[int(i == j) for j in range(n)]
+                                   for i in range(n)], rows
+    d_rows = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
+              for i in range(len(rows))]
+    assert hermite_rows(matmul(rows, v, n), n) == hermite_rows(d_rows, n), rows
 
 
 def test_smith_on_unit_entry_matrices_matches_dense_and_sympy():
@@ -131,7 +139,7 @@ def test_smith_on_empty_shapes():
     for m, n in [(0, 0), (0, 4), (3, 0)]:
         rows = [[0] * n for _ in range(m)]
         assert smith_diagonal(rows, n) == []
-        assert _dense_smith_diagonal(rows, n) == []
+        assert smith_form(rows, n)[0] == []
 
 
 def test_smith_rejects_ragged_input():
