@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True,
                    help="instance descriptor like vect:2:1 or abp:2:4")
     p.add_argument("--depth", type=int, default=3,
-                   help="nerve truncation depth (at least 2)")
+                   help="at least 2; echoed, but only the 2-skeleton is built")
 
     p = add("segal", run_segal,
             "compare diagram classes with composable strings")

@@ -539,40 +539,51 @@ def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleRe
     monos_of = check_monos or (lambda u, y: inst.monos(u, y))
     objs = inst.objects()
     bounded = set(objs)
+    # the fiber product W = {(x, w) : i(x) = e(w)} is never listed: the
+    # order of (x, w) is max(ord x, ord w), so W's counts are sums over
+    # x in U of counts tabulated once per fiber of e
+    ords = {x: zmod.order_exps(inst.moduli_of(x), inst.elements(x), inst.p)
+            for x in objs}
+    top = max(max(o) for o in ords.values())
+    empty = [0] * (top + 1)
     failures = []
     checked = 0
     for y in objs:
         y_order = inst.order(y)
-        # every epi onto y, once, with its fibers (image -> preimages)
+        zero_y = zmod.zero(inst.moduli_of(y))
+        # every epi onto y, once, with its fibers: image -> [#preimages
+        # killed by p^k for k = 0..top]
         epis = []
         for v in objs:
-            v_els = inst.elements(v)
             for e in epis_of(v, y):
                 fibers = {}
-                for w in v_els:
-                    fibers.setdefault(inst.apply(e, w), []).append(w)
-                epis.append((v, v_els, fibers))
+                for w, o in zip(inst.elements(v), ords[v]):
+                    cum = fibers.setdefault(inst.apply(e, w), [0] * (top + 1))
+                    for k in range(o, top + 1):
+                        cum[k] += 1
+                epis.append((v, inst.order(v), fibers))
         for u in objs:
-            u_els = inst.elements(u)
+            u_order = inst.order(u)
             for i in monos_of(u, y):
-                i_im = [(x, inst.apply(i, x)) for x in u_els]
-                for v, v_els, fibers in epis:
+                images = [inst.apply(i, x) for x in inst.elements(u)]
+                # (x, 0) lies in W exactly when i(x) = e(0) = 0
+                mono = images.count(zero_y) == 1
+                for v, v_order, fibers in epis:
                     checked += 1
-                    # work on the fiber product's member set directly;
-                    # the legs' defects are visible without matrices
-                    members = [(x, w) for x, im in i_im
-                               for w in fibers.get(im, ())]
+                    # killed[k] = #members of W killed by p^k; |W| at top
+                    killed = [0] * (top + 1)
+                    for im, o in zip(images, ords[u]):
+                        cum = fibers.get(im, empty)
+                        for k in range(o, top + 1):
+                            killed[k] += cum[k]
                     problems = []
-                    if len(members) * y_order != len(u_els) * len(v_els):
+                    if killed[top] * y_order != u_order * v_order:
                         problems.append("size identity fails")
-                    if {m[0] for m in members} != set(u_els):
+                    if not all(im in fibers for im in images):
                         problems.append("pulled-back epi is not epi")
-                    zero_v = zmod.zero(inst.moduli_of(v))
-                    if sum(1 for m in members if m[1] == zero_v) != 1:
+                    if not mono:
                         problems.append("pulled-back mono is not mono")
-                    flat = [x + w for x, w in members]
-                    moduli = inst.moduli_of(u) + inst.moduli_of(v)
-                    struct = zmod.structure_of(moduli, flat, inst.p)
+                    struct = zmod.structure_from_killed(killed, inst.p)
                     try:
                         w_obj = inst.object_of_structure(struct)
                     except ValueError:

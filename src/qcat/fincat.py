@@ -392,6 +392,7 @@ def nerve_twisted_vs_edgewise(c: FiniteCategory, depth: int = 3):
     or (False, witness).
     """
     require_category(c)
+    _require_nerve_size(c, 2 * depth + 1)
     tw = twisted_arrow(c)
 
     def flatten(token, n):

@@ -103,14 +103,15 @@ def k0(inst: Instance, depth: int | None = None,
        verify: bool = True) -> K0Report:
     """Class group of the instance, read off the span category's nerve.
 
-    `depth` truncates the nerve; it must be at least 2 so the relator
-    triangles are present.  Leave it None only when the category has no
-    composable nonidentity strings beyond some finite length.
+    pi_1 reads only the 2-skeleton, so the nerve is built through
+    min(depth, 2); `depth` (echoed as given) must be at least 2.  Leave
+    it None only when the category has no composable nonidentity strings
+    beyond some finite length.
     """
     if depth is not None and depth < 2:
         raise ValueError("k0 needs the nerve through dimension 2")
     qc = q_category(inst, verify=verify)
-    ns = nerve(qc.category, depth)
+    ns = nerve(qc.category, None if depth is None else min(depth, 2))
     if len(ns.components()) != 1:
         raise ValueError("span category nerve is disconnected")
     raw = ns.pi1_presentation()

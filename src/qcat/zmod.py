@@ -6,15 +6,15 @@ componentwise moduli.  Subgroups appear in two forms: plain frozensets of
 elements for enumeration, and Hermite-form bases of the preimage lattice
 in Z^r for canonical (hashable, order-free) keys.
 
-Two paths type a subgroup.  `structure_of` reads the invariant factors
-off the element orders of a member set and builds nothing else;
-`exact.verify_triple` calls it once per checked cospan (37,443 times
-for abp:2:8), and `check-instance` ran 2-9x slower with a Smith form per
-call.  Callers that need maps as well (span legs, kernels, cokernels,
-pushouts, filtration stages) take the Smith path: `subgroup_basis` and
-`quotient_map` start from generators, Hermite-reduce them with the
-moduli, and read bases and projections off one Smith form with
-transforms.
+Two paths type a subgroup.  `structure_from_killed` reads the invariant
+factors off the counts of elements killed by p^k and builds nothing
+else: `exact.verify_triple` calls it once per checked cospan (37,443
+times for abp:2:8) with counts summed over fibers, and `structure_of`
+takes the counts from a member set.  Callers that need maps as well
+(span legs, kernels, cokernels, pushouts, filtration stages) take the
+Smith path: `subgroup_basis` and `quotient_map` start from generators,
+Hermite-reduce them with the moduli, and read bases and projections off
+one Smith form with transforms.
 """
 
 from __future__ import annotations
@@ -165,19 +165,26 @@ def _exact_log(p: int, n: int) -> int:
     return k
 
 
+def order_exps(moduli: Moduli, els, p: int) -> list[int]:
+    """For each element of `els`, the k with p^k its order."""
+    table = {m: [_exact_log(p, m // gcd(m, c)) for c in range(m)]
+             for m in set(moduli)}
+    return [max((table[m][c % m] for c, m in zip(x, moduli)), default=0)
+            for x in els]
+
+
 def structure_of(moduli: Moduli, els, p: int) -> tuple[int, ...]:
     """Invariant-factor exponents (nonincreasing) of a subgroup of a
-    p-group, read off from the order statistics: the count of elements
-    killed by p^k determines how many factors have exponent >= k."""
-    # order_exp[m][c]: the k with p^k the order of c in Z/m
-    order_exp = {m: [_exact_log(p, m // gcd(m, c)) for c in range(m)]
-                 for m in set(moduli)}
-    by_order = Counter(
-        max((order_exp[m][c % m] for c, m in zip(x, moduli)), default=0)
-        for x in els)
-    # killed[k] = #elements annihilated by p^k
-    killed = list(accumulate(by_order[k]
-                             for k in range(max(by_order, default=0) + 1)))
+    p-group, read off from its element orders."""
+    by_order = Counter(order_exps(moduli, els, p))
+    return structure_from_killed(list(accumulate(
+        by_order[k] for k in range(max(by_order, default=0) + 1))), p)
+
+
+def structure_from_killed(killed, p: int) -> tuple[int, ...]:
+    """Invariant-factor exponents (nonincreasing) of a finite abelian
+    p-group with killed[k] elements annihilated by p^k (k = 0, 1, ...):
+    killed[k] / killed[k-1] is p to the number of factors of exponent >= k."""
     at_least = [_exact_log(p, killed[i] // killed[i - 1])
                 for i in range(1, len(killed))]
     exps = []

@@ -407,6 +407,79 @@ def test_verify_triple_rejects_corrupted_egressives():
         assert report == TripleReport(False, squares, failures), descriptor
 
 
+def reference_verify_triple(inst, check_epis=None, check_monos=None):
+    """The member-listing verify_triple: lists each fiber product and
+    types it by its element orders."""
+    epis_of = check_epis or (lambda v, y: inst.epis(v, y))
+    monos_of = check_monos or (lambda u, y: inst.monos(u, y))
+    objs = inst.objects()
+    bounded = set(objs)
+    failures = []
+    checked = 0
+    for y in objs:
+        y_order = inst.order(y)
+        epis = []
+        for v in objs:
+            v_els = inst.elements(v)
+            for e in epis_of(v, y):
+                fibers = {}
+                for w in v_els:
+                    fibers.setdefault(inst.apply(e, w), []).append(w)
+                epis.append((v, v_els, fibers))
+        for u in objs:
+            u_els = inst.elements(u)
+            for i in monos_of(u, y):
+                i_im = [(x, inst.apply(i, x)) for x in u_els]
+                for v, v_els, fibers in epis:
+                    checked += 1
+                    members = [(x, w) for x, im in i_im
+                               for w in fibers.get(im, ())]
+                    problems = []
+                    if len(members) * y_order != len(u_els) * len(v_els):
+                        problems.append("size identity fails")
+                    if {m[0] for m in members} != set(u_els):
+                        problems.append("pulled-back epi is not epi")
+                    zero_v = zmod.zero(inst.moduli_of(v))
+                    if sum(1 for m in members if m[1] == zero_v) != 1:
+                        problems.append("pulled-back mono is not mono")
+                    flat = [x + w for x, w in members]
+                    moduli = inst.moduli_of(u) + inst.moduli_of(v)
+                    struct = zmod.structure_of(moduli, flat, inst.p)
+                    try:
+                        w_obj = inst.object_of_structure(struct)
+                    except ValueError:
+                        w_obj = None
+                    if w_obj is None or w_obj not in bounded:
+                        problems.append("pullback escapes bounds")
+                    if problems:
+                        where = (f"i: {inst.label(u)}>->{inst.label(y)}, "
+                                 f"e: {inst.label(v)}->>{inst.label(y)}")
+                        failures.extend(f"{where}: {why}" for why in problems)
+                        if len(failures) >= 5:
+                            return TripleReport(False, checked,
+                                                tuple(failures))
+    return TripleReport(not failures, checked, tuple(failures))
+
+
+TRIPLE_CLASSES = {
+    "honest": lambda inst: {},
+    "all maps egressive": lambda inst: {
+        "check_epis": all_maps_egressive(inst)},
+    "all maps ingressive": lambda inst: {
+        "check_monos": lambda u, y: inst.hom(u, y)},
+}
+
+
+@pytest.mark.parametrize("classes", sorted(TRIPLE_CLASSES))
+@pytest.mark.parametrize("descriptor",
+                         ["abp:2:4", "vect:2:2", "abp:3:9", "vect:3:2"])
+def test_verify_triple_matches_the_member_listing_oracle(descriptor, classes):
+    inst = parse_instance(descriptor)
+    kwargs = TRIPLE_CLASSES[classes](inst)
+    assert verify_triple(inst, **kwargs) == \
+        reference_verify_triple(inst, **kwargs)
+
+
 def test_parse_instance():
     inst = parse_instance("vect:2:1")
     assert isinstance(inst, VectInstance) and (inst.q, inst.d) == (2, 1)

@@ -1,6 +1,7 @@
 """Finite categories, their nerves, and the twisted arrow comparison."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from qcat import fincat
 from qcat.cli import main
 from qcat.errors import GuardError
 from qcat.exact import AbPInstance, VectInstance
+from qcat.formats import load_category
 from qcat.fincat import (
     FiniteCategory,
     FunctorData,
@@ -29,6 +31,8 @@ from qcat.fincat import (
 )
 from qcat.qcons import q_category
 from qcat.simpset import left_fibration_check
+
+BZ2 = Path(__file__).resolve().parent.parent / "fixtures" / "bz2.cat"
 
 
 def test_corpus_satisfies_axioms():
@@ -221,13 +225,28 @@ def test_nerve_guard_names_the_level_and_its_size(monkeypatch):
 
 
 def test_nerve_guard_exits_one_through_the_cli(monkeypatch, capsys):
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 851)
-    rc = main(["k0", "--instance", "abp:2:4", "--depth", "3"])
+    # twisted compares level n of the twisted arrow nerve with level 2n+1
+    # of the category's nerve, so --depth 3 reaches level 7
+    c = load_category(BZ2.read_text())
+    count = len(_nerve_levels(c, 7))
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", count - 1)
+    rc = main(["twisted", "--in", str(BZ2), "--depth", "3"])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err == ("qcat k0: guard: nerve: level 3 would hold 852 strings, "
-                   "over the limit of 851\n")
+    assert err == (f"qcat twisted: guard: nerve: level 7 would hold {count} "
+                   f"strings, over the limit of {count - 1}\n")
+
+
+def test_nerve_guard_covers_the_long_strings_of_the_twisted_comparison(
+        monkeypatch):
+    c = cyclic_group_category(3)
+    count = len(_nerve_levels(c, 5))
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", count - 1)
+    with pytest.raises(GuardError, match=f"nerve: level 5 would hold {count} "
+                                         f"strings, over the limit of "
+                                         f"{count - 1}"):
+        nerve_twisted_vs_edgewise(c, 2)
 
 
 def test_nerve_guard_covers_the_deepened_target_of_a_nerve_map(monkeypatch):

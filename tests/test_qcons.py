@@ -1,10 +1,12 @@
 """Span category, class-group extraction, ambigressive diagrams."""
 
 import hashlib
+import json
 
 import pytest
 
 from qcat import qcons
+from qcat.cli import main
 from qcat.errors import GuardError
 from qcat.exact import AbPInstance, Mor, VectInstance, span_compose
 from qcat.fincat import nerve
@@ -109,6 +111,32 @@ def test_k0_regressions_at_depth_three(v2, ab4):
     # single simple object so the class group is infinite cyclic
     assert qcons.k0(v2, depth=3).label == "Z"
     assert qcons.k0(ab4, depth=3).label == "Z"
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2:4", "vect:2:2", "abp:3:9"])
+def test_k0_report_is_the_depth_two_report_at_any_depth(capsys, descriptor):
+    # pi_1 reads the 2-skeleton only; a deeper --depth is just echoed
+    reports = {}
+    for depth in (2, 3, 4):
+        assert main(["k0", "--instance", descriptor,
+                     "--depth", str(depth)]) == 0
+        reports[depth] = json.loads(capsys.readouterr().out)
+        assert reports[depth].pop("depth") == depth
+    assert reports[3] == reports[2]
+    assert reports[4] == reports[2]
+
+
+def test_k0_builds_the_nerve_through_level_two(monkeypatch, ab4):
+    asked = []
+
+    def spy(c, depth=None):
+        asked.append(depth)
+        return nerve(c, depth)
+
+    monkeypatch.setattr(qcons, "nerve", spy)
+    rep = qcons.k0(ab4, depth=4)
+    assert asked == [2]
+    assert rep.depth == 4
 
 
 def test_nerve_h1_matches_abelianized_pi1(v1, v2, ab4):
