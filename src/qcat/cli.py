@@ -10,7 +10,6 @@ malformed input, with a message naming where the problem sits.
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .delta import is_combinatorial_subdivision, parse_word
@@ -22,13 +21,6 @@ from .formats import _canon, load_category, load_sset
 from .gammastr import retraction_naturality_report, u_functoriality_report
 from .qcons import abelian_label, k0, segal_spine_check
 from .simpset import left_fibration_check
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    depth: int | None = None
-    out: str | None = None
 
 
 def _read(path: str, kind: str) -> str:
@@ -60,9 +52,9 @@ def _presentation_json(pres) -> dict:
 # -- subcommands -------------------------------------------------------------
 
 
-def run_subdivide(cfg: RunConfig, args):
+def run_subdivide(args):
     word = parse_word(args.word)
-    verdict = is_combinatorial_subdivision(word, args.mmax, cfg.depth)
+    verdict = is_combinatorial_subdivision(word, args.mmax, args.depth)
     report = {
         "command": "subdivide",
         "word": args.word,
@@ -82,17 +74,17 @@ def run_subdivide(cfg: RunConfig, args):
     return report, summary
 
 
-def run_twisted(cfg: RunConfig, args):
+def run_twisted(args):
     c = load_category(_read(args.infile, "category"))
-    ok, witness = nerve_twisted_vs_edgewise(c, cfg.depth)
-    shadow = nerve_map(twisted_projection(c), cfg.depth)
-    fib_ok, fib_witness = left_fibration_check(shadow, cfg.depth)
+    ok, witness = nerve_twisted_vs_edgewise(c, args.depth)
+    shadow = nerve_map(twisted_projection(c), args.depth)
+    fib_ok, fib_witness = left_fibration_check(shadow, args.depth)
     report = {
         "command": "twisted",
         "input": args.infile,
-        "depth": cfg.depth,
+        "depth": args.depth,
         "levels": [len(shadow.source.values(n))
-                   for n in range(cfg.depth + 1)],
+                   for n in range(args.depth + 1)],
         "matches_edgewise": ok,
         "mismatch_witness": None if witness is None else str(witness),
         "left_fibration": fib_ok,
@@ -101,23 +93,23 @@ def run_twisted(cfg: RunConfig, args):
     a = "matches" if ok else "DIFFERS FROM"
     b = "is" if fib_ok else "is NOT"
     summary = (f"twisted nerve {a} the edgewise one through depth "
-               f"{cfg.depth}; the projection {b} a left fibration")
+               f"{args.depth}; the projection {b} a left fibration")
     return report, summary
 
 
-def run_homology(cfg: RunConfig, args):
+def run_homology(args):
     ss = load_sset(_read(args.infile, "sset"))
-    pairs = ss.homology(cfg.depth)
+    pairs = ss.homology(args.depth)
     report = {
         "command": "homology",
         "input": args.infile,
-        "depth": cfg.depth,
+        "depth": args.depth,
         "groups": _homology_json(pairs),
     }
     return report, _homology_summary(pairs)
 
 
-def run_pi1(cfg: RunConfig, args):
+def run_pi1(args):
     ss = load_sset(_read(args.infile, "sset"))
     raw = ss.pi1_presentation()
     simplified = raw.simplified(args.budget)
@@ -137,9 +129,9 @@ def run_pi1(cfg: RunConfig, args):
     return report, summary
 
 
-def run_k0(cfg: RunConfig, args):
+def run_k0(args):
     inst = parse_instance(args.instance)
-    rep = k0(inst, cfg.depth)
+    rep = k0(inst, args.depth)
     report = {
         "command": "k0",
         "instance": rep.instance,
@@ -155,7 +147,7 @@ def run_k0(cfg: RunConfig, args):
     return report, f"K_0({rep.instance}) = {rep.label}"
 
 
-def run_segal(cfg: RunConfig, args):
+def run_segal(args):
     inst = parse_instance(args.instance)
     rep = segal_spine_check(inst, args.n)
     report = {
@@ -196,7 +188,7 @@ def _parse_probe(token: str, target: AbPInstance):
     return obj
 
 
-def run_devissage(cfg: RunConfig, args):
+def run_devissage(args):
     source = parse_instance(args.source)
     target = parse_instance(args.target)
     if not isinstance(source, VectInstance):
@@ -210,7 +202,7 @@ def run_devissage(cfg: RunConfig, args):
     if not all(tokens):
         raise ValueError("probe list has an empty token")
     probes = [_parse_probe(t, target) for t in tokens]
-    cert = devissage_certificate(psi, probes, cfg.depth)
+    cert = devissage_certificate(psi, probes, args.depth)
     report = {
         "command": "devissage",
         "embedding": cert.embedding,
@@ -237,7 +229,7 @@ def run_devissage(cfg: RunConfig, args):
     return report, summary
 
 
-def run_gamma(cfg: RunConfig, args):
+def run_gamma(args):
     if args.check == "u-functoriality":
         rep = u_functoriality_report(args.max_arity)
     else:
@@ -255,7 +247,7 @@ def run_gamma(cfg: RunConfig, args):
     return report, summary
 
 
-def run_check_instance(cfg: RunConfig, args):
+def run_check_instance(args):
     inst = parse_instance(args.instance)
     rep = verify_triple(inst)
     report = {
@@ -354,18 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_of(args) -> RunConfig:
-    depth = getattr(args, "depth", None)
-    if depth is not None and depth < 1:
-        raise ValueError("depth must be at least 1")
-    return RunConfig(subcommand=args.subcommand, depth=depth, out=args.out)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_of(args)
-        report, summary = args.handler(cfg, args)
+        depth = getattr(args, "depth", None)
+        if depth is not None and depth < 1:
+            raise ValueError("depth must be at least 1")
+        report, summary = args.handler(args)
     except GuardError as e:
         print(f"qcat {args.subcommand}: guard: {e}", file=sys.stderr)
         return 1
@@ -374,7 +361,7 @@ def main(argv=None) -> int:
         return 2
     text = _canon(report)
     sys.stdout.write(text)
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     print(summary, file=sys.stderr)
     return 0

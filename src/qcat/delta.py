@@ -94,14 +94,6 @@ def parse_word(text: str):
 EDGEWISE = JoinWord(("op", "id"))
 
 
-def apply_object(word, n: int) -> int:
-    return word.apply_object(n)
-
-
-def apply_map(word, f: DeltaMap) -> DeltaMap:
-    return word.apply_map(f)
-
-
 def _require_depth(word, x: SimplicialSet, depth: int):
     needed = word.apply_object(depth)
     if x.truncation is not None and x.truncation < needed:

@@ -18,6 +18,7 @@ from .exact import (
     Instance,
     Mor,
     Square,
+    _columns,
     ambigressive_pullback,
     bicartesian_check,
     exact_sequence_squares,
@@ -185,9 +186,8 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     for stage in stage_sets:
         struct, basis = zmod.subgroup_basis(moduli, stage, p)
         obj = t.object_of_structure(struct)
-        rows = tuple(tuple(b[k] for b in basis) for k in range(len(moduli)))
         stage_objects.append(obj)
-        stage_incls.append(Mor(obj, x, rows))
+        stage_incls.append(Mor(obj, x, _columns(basis, len(moduli))))
 
     inclusions = []
     for i in range(1, len(stage_objects)):
@@ -309,14 +309,9 @@ def devissage_certificate(psi: ExactEmbedding, probe_objects,
 # -- the relative span construction -------------------------------------------
 
 
-def _isos(inst: Instance, x, y):
-    return [f for f in inst.hom(x, y)
-            if inst.is_mono(f) and inst.is_epi(f)]
-
-
 def _auto_inverse(inst: Instance, sigma: Mor) -> Mor:
     ident = inst.identity(sigma.src)
-    return next(tau for tau in _isos(inst, sigma.src, sigma.src)
+    return next(tau for tau in inst.isos(sigma.src, sigma.src)
                 if inst.compose(sigma, tau) == ident)
 
 
@@ -326,7 +321,7 @@ def _datum_class_key(psi: ExactEmbedding, w, w_u: Mor, w_v: Mor,
     bridge object w."""
     s, t = psi.source, psi.target
     best = None
-    for sigma in _isos(s, w, w):
+    for sigma in s.isos(w, w):
         inv = _auto_inverse(s, sigma)
         variant = (w,
                    s.compose(w_u, sigma).rows,
@@ -375,12 +370,10 @@ def relative_q_objects(psi: ExactEmbedding,
         out = []
         for w in sources:
             psi_w = psi.on_object(w)
-            epis_wv = [f for f in s.hom(w, v) if s.is_epi(f)]
+            epis_wv = s.epis(w, v)
             if not epis_wv:
                 continue
-            for w_u in s.hom(w, u):
-                if not s.is_mono(w_u):
-                    continue
+            for w_u in s.monos(w, u):
                 pw_u = psi.on_mor(w_u)
                 # honest fibre count of the cospan (g, psi w_u); the
                 # comparison below is a bijection onto the pullback

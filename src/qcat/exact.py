@@ -7,10 +7,12 @@ are integer matrices reduced mod the target moduli, and the admissible
 classes are exactly the injective and surjective maps (quotients and
 kernels stay within the bounds, so nothing needs to be excluded).
 
-Morphisms in the span calculus are canonical graph subobjects: the span
+Morphisms in the span calculus are graph subgroups: the span
 X <- U -> Y with epi left leg and mono right leg embeds into X + Y, and
-the image subgroup W with its Hermite key is the unique representative of
-the span's isomorphism class.  Composition is relation composition.
+the member set of its image W is the unique representative of the span's
+isomorphism class.  Composition is relation composition of member sets.
+The Hermite key of W (`zmod.subgroup_key`) only orders `all_spans` and
+feeds the Smith path that unpacks a span's legs.
 """
 
 from __future__ import annotations
@@ -35,17 +37,16 @@ class Instance:
     """Shared engine; subclasses fix the object inventory and the typing
     of structure tuples back to objects.
 
-    Element tuples and each span's member set and legs are memoized on
-    the instance.  An object is only a typing value whose group depends
-    on the instance (the object (1,) is Z/2 in abp:2:4 and Z/3 in
-    abp:3:9), so these tables must never be shared between instances.
+    Element tuples and each span's legs are memoized on the instance.
+    An object is only a typing value whose group depends on the instance
+    (the object (1,) is Z/2 in abp:2:4 and Z/3 in abp:3:9), so these
+    tables must never be shared between instances.
     """
 
     p: int  # the residue characteristic used for structure typing
 
     def __init__(self):
         self._elements = {}       # object -> tuple of its elements
-        self._span_members = {}   # Span -> frozenset of graph members
         self._span_legs = {}      # Span -> (w, e: w ->> src, m: w >-> dst)
 
     def objects(self):
@@ -120,6 +121,12 @@ class Instance:
 
     def epis(self, x, y) -> list[Mor]:
         return [f for f in self.hom(x, y) if self.is_epi(f)]
+
+    def isos(self, x, y) -> list[Mor]:
+        # a mono between finite groups of one order is onto
+        if self.order(x) != self.order(y):
+            return []
+        return self.monos(x, y)
 
     def direct_sum(self, x, y):
         """Returns (s, i1, i2, p1, p2); the summands land in the canonical
@@ -266,28 +273,20 @@ class AbPInstance(Instance):
 
 @dataclass(frozen=True)
 class Span:
-    """A morphism of the span category in canonical form: the Hermite key
-    of the graph subobject W of src + dst.  The left leg W -> src is an
-    admissible epi, and W meets src + 0 trivially (right leg mono)."""
+    """A morphism of the span category: the member set of the graph
+    subgroup W of src + dst, which is its own canonical form.  The left
+    leg W -> src is an admissible epi, and W meets src + 0 trivially
+    (right leg mono)."""
     src: object
     dst: object
-    key: tuple
+    members: frozenset
 
     def __repr__(self):
-        return f"Span({self.src!r}->{self.dst!r}, {self.key!r})"
+        return f"Span({self.src!r}->{self.dst!r}, {sorted(self.members)!r})"
 
 
 def _pair_moduli(inst: Instance, x, y):
     return inst.moduli_of(x) + inst.moduli_of(y)
-
-
-def _span_members(inst: Instance, s: Span) -> frozenset:
-    members = inst._span_members.get(s)
-    if members is None:
-        moduli = _pair_moduli(inst, s.src, s.dst)
-        gens = [tuple(c % m for c, m in zip(row, moduli)) for row in s.key]
-        members = inst._span_members[s] = zmod.closure(moduli, gens)
-    return members
 
 
 def _graph_ok(inst: Instance, x, y, members) -> tuple[bool, str]:
@@ -305,13 +304,12 @@ def span_from_members(inst: Instance, x, y, members) -> Span:
     ok, why = _graph_ok(inst, x, y, members)
     if not ok:
         raise ValueError(f"not a valid span graph: {why}")
-    key = zmod.subgroup_key(_pair_moduli(inst, x, y), members)
-    return Span(x, y, key)
+    return Span(x, y, frozenset(members))
 
 
 def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
-    """Canonical form of the span with epi leg e: U -> X and mono leg
-    m: U -> Y; raises if the legs are not admissible."""
+    """The span class with epi leg e: U -> X and mono leg m: U -> Y;
+    raises if the legs are not admissible."""
     if e.src != m.src:
         raise ValueError("legs must share their source")
     if not inst.is_epi(e):
@@ -324,11 +322,11 @@ def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
 
 
 def span_legs(inst: Instance, s: Span):
-    """Unpacks the canonical span as (w, e: w -> src, m: w -> dst)."""
+    """Unpacks the span as (w, e: w -> src, m: w -> dst)."""
     legs = inst._span_legs.get(s)
     if legs is None:
         moduli = _pair_moduli(inst, s.src, s.dst)
-        struct, basis = zmod.subgroup_basis(moduli, s.key, inst.p)
+        struct, basis = zmod.subgroup_basis(moduli, s.members, inst.p)
         w = inst.object_of_structure(struct)
         rows = _columns(basis, len(moduli))
         nx = len(inst.moduli_of(s.src))
@@ -338,21 +336,16 @@ def span_legs(inst: Instance, s: Span):
 
 
 def identity_span(inst: Instance, x) -> Span:
-    moduli = inst.moduli_of(x)
-    members = zmod.closure(
-        _pair_moduli(inst, x, x),
-        [(*v, *v) for v in zmod.elements(moduli)])
-    return span_from_members(inst, x, x, members)
+    return span_from_members(inst, x, x,
+                             {(*v, *v) for v in inst.elements(x)})
 
 
 def all_spans(inst: Instance, x, y) -> list[Span]:
-    """Every span class from x to y, in deterministic key order."""
+    """Every span class from x to y, ordered by the Hermite key of W."""
     moduli = _pair_moduli(inst, x, y)
-    out = []
-    for sub in zmod.all_subgroups(moduli):
-        if _graph_ok(inst, x, y, sub)[0]:
-            out.append(Span(x, y, zmod.subgroup_key(moduli, sub)))
-    return sorted(out, key=lambda s: s.key)
+    out = [Span(x, y, sub) for sub in zmod.all_subgroups(moduli)
+           if _graph_ok(inst, x, y, sub)[0]]
+    return sorted(out, key=lambda s: zmod.subgroup_key(moduli, s.members))
 
 
 def span_compose(inst: Instance, t: Span, s: Span) -> Span:
@@ -361,13 +354,11 @@ def span_compose(inst: Instance, t: Span, s: Span) -> Span:
         raise ValueError("spans are not composable")
     nx = len(inst.moduli_of(s.src))
     ny = len(inst.moduli_of(s.dst))
-    s_members = _span_members(inst, s)
-    t_members = _span_members(inst, t)
     by_middle: dict = {}
-    for w in t_members:
+    for w in t.members:
         by_middle.setdefault(w[:ny], []).append(w[ny:])
     members = {(*u[:nx], *z)
-               for u in s_members for z in by_middle.get(u[nx:], ())}
+               for u in s.members for z in by_middle.get(u[nx:], ())}
     return span_from_members(inst, s.src, t.dst, members)
 
 

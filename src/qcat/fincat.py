@@ -257,15 +257,18 @@ def _nerve_levels(c: FiniteCategory, n: int):
     return strings
 
 
-def _identity_free_count(c: FiniteCategory, n: int) -> int:
-    nonid = [m for m in c.morphisms() if not c.is_identity(m)]
-    count = {m: 1 for m in nonid}
-    for _ in range(n - 1):
-        nxt = {}
-        for m in nonid:
-            nxt[m] = sum(count[f] for f in nonid if c.dst(f) == c.src(m))
-        count = nxt
-    return sum(count.values()) if n >= 1 else len(c.objects)
+def _string_counts(c: FiniteCategory, arrows):
+    """Yields, for n = 0, 1, 2, ..., the number of composable strings of
+    n arrows drawn from `arrows`, given as (source, target) pairs; level 0
+    counts the objects.  `ending[x]` counts the strings of the current
+    length that end at x, so each level costs one pass over the arrows."""
+    ending = dict.fromkeys(c.objects, 1)
+    while True:
+        yield sum(ending.values())
+        nxt = dict.fromkeys(c.objects, 0)
+        for s, t in arrows:
+            nxt[t] += ending[s]
+        ending = nxt
 
 
 # The most strings one nerve level may hold.  Compiling a level keeps every
@@ -276,19 +279,9 @@ NERVE_LEVEL_LIMIT = 1_000_000
 
 def _require_nerve_size(c: FiniteCategory, max_dim: int):
     """Raise GuardError if a nerve level through max_dim would hold more
-    than NERVE_LEVEL_LIMIT strings.
-
-    `ending[x]` counts the composable strings of the current length that
-    end at x, so each level costs one pass over the morphisms.
-    """
-    ending = dict.fromkeys(c.objects, 1)
-    for n in range(max_dim + 1):
-        if n > 0:
-            nxt = dict.fromkeys(c.objects, 0)
-            for s, t in c.morph.values():
-                nxt[t] += ending[s]
-            ending = nxt
-        count = sum(ending.values())
+    than NERVE_LEVEL_LIMIT strings."""
+    for n, count in zip(range(max_dim + 1),
+                        _string_counts(c, c.morph.values())):
         if count > NERVE_LEVEL_LIMIT:
             raise GuardError(f"nerve: level {n} would hold {count} strings, "
                              f"over the limit of {NERVE_LEVEL_LIMIT}")
@@ -299,9 +292,10 @@ def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
     nonidentity morphisms die out, otherwise truncates at `depth`."""
     require_category(c)
     cap = depth if depth is not None else len(c.morph) + 1
+    nonid = [ends for m, ends in c.morph.items() if not c.is_identity(m)]
     complete_at = None
-    for n in range(1, cap + 1):
-        if _identity_free_count(c, n) == 0:
+    for n, count in zip(range(cap + 1), _string_counts(c, nonid)):
+        if n > 0 and count == 0:
             complete_at = n - 1
             break
     if complete_at is not None:

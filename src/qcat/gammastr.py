@@ -269,6 +269,8 @@ def retraction_naturality_report(max_arity: int) -> CheckReport:
     """Check that precomposing an edge commutes with pulling retraction
     sets back along the cut action, for single maps and for smashed
     pairs of maps with arities up to max_arity."""
+    if max_arity < 0:
+        raise ValueError("max arity must be nonnegative")
     singles = []
     for s in range(1, max_arity + 1):
         for t in range(1, max_arity + 1):

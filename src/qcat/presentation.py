@@ -124,8 +124,8 @@ class GroupPresentation:
         rest.  After every move the relators are cyclically reduced,
         empty ones dropped, and of relators with the same cyclic key
         (rotation and inversion) only the earliest in list order kept.
-        `budget` caps the number of moves, so the call terminates even on
-        adversarial growth.
+        `budget` (nonnegative) caps the number of moves, so the call
+        terminates even on adversarial growth.
 
         The state is updated in place rather than rebuilt per move: the
         relators sit in fixed slots in list order, an index maps each
@@ -135,6 +135,9 @@ class GroupPresentation:
         once, entries going stale when their slot changes.  A move thus
         touches only the relators holding the eliminated generator.
         """
+        if budget < 0:
+            raise ValueError(f"simplification budget must be nonnegative, "
+                             f"got {budget}")
         gens = sorted(self.generators)
         rels: list[Word | None] = [None] * len(self.relators)
         keys: list = [None] * len(self.relators)

@@ -253,8 +253,7 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     objs = inst.objects()
     epis_cache = {(v, y): inst.epis(v, y) for v in objs for y in objs}
     monos_cache = {(v, y): inst.monos(v, y) for v in objs for y in objs}
-    autos_cache = {v: [f for f in monos_cache[(v, v)] if inst.is_epi(f)]
-                   for v in objs}
+    autos_cache = {v: inst.isos(v, v) for v in objs}
 
     out = []
     for verts, spine in _spine_strings(inst, n):
@@ -338,10 +337,8 @@ def groupoid_rigidity(inst: Instance, x, y) -> RigidityReport:
             for m in inst.monos(u, y):
                 objects.append((u, e, m))
 
-    isos = {}
-    for (u, v) in {(a[0], b[0]) for a in objects for b in objects}:
-        isos[(u, v)] = [f for f in inst.hom(u, v)
-                        if inst.is_mono(f) and inst.is_epi(f)]
+    isos = {(u, v): inst.isos(u, v)
+            for (u, v) in {(a[0], b[0]) for a in objects for b in objects}}
 
     def morphisms(a, b):
         (u, e, m), (u2, e2, m2) = a, b

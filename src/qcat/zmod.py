@@ -2,9 +2,11 @@
 
 Everything works over a "moduli vector" (m_1, ..., m_r): the group
 Z/m_1 x ... x Z/m_r, elements stored as length-r tuples reduced mod the
-componentwise moduli.  Subgroups appear in two forms: plain frozensets of
-elements for enumeration, and Hermite-form bases of the preimage lattice
-in Z^r for canonical (hashable, order-free) keys.
+componentwise moduli.  A subgroup is a frozenset of its elements, which
+is already canonical: equal subgroups are equal sets.  The Hermite basis
+of its preimage lattice in Z^r (`subgroup_key`) is computed only where a
+lattice is needed: to order the spans of `exact.all_spans`, and as the
+input of the Smith path below.
 
 Two paths type a subgroup.  `structure_from_killed` reads the invariant
 factors off the counts of elements killed by p^k and builds nothing

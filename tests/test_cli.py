@@ -118,6 +118,9 @@ def test_check_instance_verifies_the_squares(capsys):
       "--probes", "c8", "--depth", "2"], "outside the target bound"),
     (["devissage", "--source", "vect:3:2", "--target", "abp:2:4",
       "--probes", "0", "--depth", "2"], "characteristic"),
+    (["gamma", "--check", "retraction-naturality", "--max-arity", "-1"],
+     "max arity must be nonnegative"),
+    (["pi1", "--in", RP2, "--budget", "-3"], "budget must be nonnegative"),
 ])
 def test_malformed_input_exits_two(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)

@@ -194,13 +194,48 @@ def test_f3_line_has_two_self_spans():
 
 
 def test_span_canonical_form_is_idempotent(ab4):
-    from qcat.exact import _span_members
-
     for x in ab4.objects():
         for y in ab4.objects():
             for s in all_spans(ab4, x, y):
-                members = _span_members(ab4, s)
-                assert span_from_members(ab4, x, y, members) == s
+                assert span_from_members(ab4, x, y, s.members) == s
+
+
+def reference_span_compose(inst, t, s):
+    """t after s by the Hermite-key path: each span's members are rebuilt
+    by closure from the Hermite basis of its graph subgroup, the relations
+    are composed, and the composite is Hermite-reduced and closed again.
+    Returns the composite's member set."""
+    def via_key(x, y, members):
+        moduli = inst.moduli_of(x) + inst.moduli_of(y)
+        key = zmod.subgroup_key(moduli, members)
+        gens = [tuple(c % m for c, m in zip(row, moduli)) for row in key]
+        return zmod.closure(moduli, gens)
+
+    nx = len(inst.moduli_of(s.src))
+    ny = len(inst.moduli_of(s.dst))
+    by_middle = {}
+    for w in via_key(t.src, t.dst, t.members):
+        by_middle.setdefault(w[:ny], []).append(w[ny:])
+    members = {(*u[:nx], *z) for u in via_key(s.src, s.dst, s.members)
+               for z in by_middle.get(u[nx:], ())}
+    return via_key(s.src, t.dst, members)
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2:4", "abp:3:9", "vect:2:2"])
+def test_span_compose_matches_the_hermite_key_oracle(descriptor):
+    inst = parse_instance(descriptor)
+    objs = inst.objects()
+    spans = {(x, y): all_spans(inst, x, y) for x in objs for y in objs}
+    pairs = 0
+    for (x, y), ss in spans.items():
+        for z in objs:
+            for s in ss:
+                for t in spans[(y, z)]:
+                    got = span_compose(inst, t, s)
+                    assert (got.src, got.dst) == (x, z)
+                    assert got.members == reference_span_compose(inst, t, s)
+                    pairs += 1
+    assert pairs > 0
 
 
 def test_span_legs_round_trip(ab4):
