@@ -1,9 +1,8 @@
 """Command line front end.
 
 Every subcommand writes one canonical JSON report to stdout and a short
-human-readable summary to stderr.  Reports depend only on the arguments;
-the QCAT_THREADS environment variable may change wall time but never a
-byte of output.  Exit status: 0 for any completed run (negative verdicts
+human-readable summary to stderr.  Reports depend only on the
+arguments.  Exit status: 0 for any completed run (negative verdicts
 are data, not errors), 1 when a construction guard trips, 2 for
 malformed input, with a message naming where the problem sits.
 """

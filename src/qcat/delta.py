@@ -172,9 +172,9 @@ def is_combinatorial_subdivision(word, m_max: int, depth: int | None = None,
     """Test whether the word carries every standard simplex to a
     contractible-looking complex.
 
-    Each m <= m_max is checked independently (and concurrently when
-    QCAT_THREADS allows): restrict the standard m-simplex along the word,
-    truncate at `depth`, and certify contractibility through depth - 1.
+    Each m <= m_max is checked independently: restrict the standard
+    m-simplex along the word, truncate at `depth`, and certify
+    contractibility through depth - 1.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")

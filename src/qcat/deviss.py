@@ -12,13 +12,11 @@ contractible is recorded, never presumed.
 
 from dataclasses import dataclass
 
-from . import zmod
 from .errors import GuardError
 from .exact import (
     Instance,
     Mor,
     Square,
-    _columns,
     ambigressive_pullback,
     bicartesian_check,
     exact_sequence_squares,
@@ -167,27 +165,18 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     t = psi.target
     if x not in t.objects():
         raise ValueError(f"{x!r} is not an object of the target instance")
-    moduli = t.moduli_of(x)
-    els = t.elements(x)
-    p = t.p
-
-    stage_sets = []
-    i = 0
-    while True:
-        q = p ** i
-        stage = [v for v in els if zmod.scale(moduli, q, v) == zmod.zero(moduli)]
-        stage_sets.append(stage)
-        if len(stage) == len(els):
-            break
-        i += 1
-
+    ident = t.identity(x).rows
     stage_objects = []
     stage_incls = []               # into x, used to express the chain maps
-    for stage in stage_sets:
-        struct, basis = zmod.subgroup_basis(moduli, stage, p)
-        obj = t.object_of_structure(struct)
+    q = 1
+    while True:
+        scaled = tuple(tuple(q * a for a in row) for row in ident)
+        obj, incl = t.kernel(Mor(x, x, scaled))
         stage_objects.append(obj)
-        stage_incls.append(Mor(obj, x, _columns(basis, len(moduli))))
+        stage_incls.append(incl)
+        if t.order(obj) == t.order(x):
+            break
+        q *= t.p
 
     inclusions = []
     for i in range(1, len(stage_objects)):
@@ -200,12 +189,11 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     witnesses = []
     isos = []
     for i, step in enumerate(inclusions):
-        struct, _ = zmod.quotient_map(t.moduli_of(step.dst),
-                                      list(zip(*step.rows)), p)
+        q_obj = t.cokernel(step)[0]
+        struct = t._exps_of(q_obj)
         if any(e != 1 for e in struct):
             raise ValueError(
                 f"stage {i + 1} quotient of {t.label(x)} is not elementary abelian")
-        q_obj = t.object_of_structure(struct)
         try:
             u = psi.source.object_of_structure(struct)
         except ValueError:

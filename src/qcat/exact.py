@@ -411,7 +411,17 @@ def ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
         raise ValueError("first leg must be an admissible mono")
     if not inst.is_epi(e):
         raise ValueError("second leg must be an admissible epi")
-    sq = _raw_pullback(inst, i, e)
+    mu = inst.moduli_of(i.src)
+    mv = inst.moduli_of(e.src)
+    moduli = mu + mv
+    nu = len(mu)
+    members = [uv for uv in zmod.elements(moduli)
+               if inst.apply(i, uv[:nu]) == inst.apply(e, uv[nu:])]
+    struct, basis = zmod.subgroup_basis(moduli, members, inst.p)
+    w = inst.object_of_structure(struct)
+    rows = _columns(basis, len(moduli))
+    sq = Square(top=Mor(w, i.src, rows[:nu]), left=Mor(w, e.src, rows[nu:]),
+                right=i, bottom=e)
     if not square_commutes(inst, sq):
         raise ValueError("ambigressive pullback: square does not commute")
     # the size identity |W| |Y| = |U| |V| pins the pullback's order
@@ -589,24 +599,6 @@ def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleRe
                             return TripleReport(False, checked,
                                                 tuple(failures))
     return TripleReport(not failures, checked, tuple(failures))
-
-
-def _raw_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
-    """Kernel-of-difference pullback without admissibility preconditions;
-    verify_triple uses it so that corrupted leg classes still produce a
-    square whose defects can be witnessed."""
-    mu = inst.moduli_of(i.src)
-    mv = inst.moduli_of(e.src)
-    moduli = mu + mv
-    nu = len(mu)
-    members = [uv for uv in zmod.elements(moduli)
-               if inst.apply(i, uv[:nu]) == inst.apply(e, uv[nu:])]
-    struct, basis = zmod.subgroup_basis(moduli, members, inst.p)
-    w = inst.object_of_structure(struct)
-    rows = _columns(basis, len(moduli))
-    to_u = Mor(w, i.src, rows[:nu])
-    to_v = Mor(w, e.src, rows[nu:])
-    return Square(top=to_u, left=to_v, right=i, bottom=e)
 
 
 def all_maps_egressive(inst: Instance):

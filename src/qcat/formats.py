@@ -59,7 +59,7 @@ def load_sset(text: str) -> SimplicialSet:
         for k, v in enumerate(vals):
             ok = (isinstance(v, list) and len(v) == 2
                   and isinstance(v[0], list)
-                  and all(isinstance(j, int) for j in v[0])
+                  and all(type(j) is int for j in v[0])
                   and isinstance(v[1], str))
             if not ok:
                 raise ValueError(
@@ -67,7 +67,7 @@ def load_sset(text: str) -> SimplicialSet:
             recs.append((tuple(v[0]), v[1]))
         faces[x] = tuple(recs)
     truncation = data.get("truncation")
-    if truncation is not None and not isinstance(truncation, int):
+    if truncation is not None and type(truncation) is not int:
         raise ValueError("sset file: 'truncation' must be an integer")
     try:
         return SimplicialSet(dims, faces, truncation)

@@ -1,32 +1,11 @@
-"""Deterministic fan-out for independent pure computations.
+"""An in-order map over independent computations.
 
-QCAT_THREADS picks the worker count (default 1, meaning run inline).
-Results always come back in input order, so callers cannot observe the
-scheduling.
+It runs inline.  The module stays only because the benchmark's tracer
+and its metrics name `parallel.parallel_map`; it goes with the
+benchmark-only change of ROADMAP item 1.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("QCAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"QCAT_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValueError(f"QCAT_THREADS must be a positive integer, got {raw!r}")
-    return n
 
 
 def parallel_map(fn, items):
-    """Map fn over items, preserving order; threads per QCAT_THREADS."""
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items, in order."""
+    return [fn(x) for x in items]

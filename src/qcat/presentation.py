@@ -191,8 +191,8 @@ class GroupPresentation:
         return GroupPresentation(tuple(gens),
                                  tuple(r for r in rels if r is not None))
 
-    def is_recognizably_trivial(self, budget: int = 10000) -> bool:
-        return not self.simplified(budget).generators
+    def is_recognizably_trivial(self) -> bool:
+        return not self.simplified().generators
 
 
 def _lone_generator(word: Word):

@@ -99,8 +99,7 @@ class K0Report:
         return abelian_label(self.betti, self.torsion)
 
 
-def k0(inst: Instance, depth: int | None = None,
-       verify: bool = True) -> K0Report:
+def k0(inst: Instance, depth: int | None = None) -> K0Report:
     """Class group of the instance, read off the span category's nerve.
 
     pi_1 reads only the 2-skeleton, so the nerve is built through
@@ -110,7 +109,7 @@ def k0(inst: Instance, depth: int | None = None,
     """
     if depth is not None and depth < 2:
         raise ValueError("k0 needs the nerve through dimension 2")
-    qc = q_category(inst, verify=verify)
+    qc = q_category(inst)
     ns = nerve(qc.category, None if depth is None else min(depth, 2))
     if len(ns.components()) != 1:
         raise ValueError("span category nerve is disconnected")

@@ -104,7 +104,7 @@ class SimplicialSet:
         for a, b in zip(word, word[1:]):
             if a <= b:
                 raise ValueError(f"degeneracy word not in normal form: {word}")
-        if word and word[0] > n - 1:
+        if word and (word[0] > n - 1 or word[-1] < 0):
             raise ValueError(f"degeneracy word out of range: {word}")
 
     def __eq__(self, other):
@@ -307,9 +307,7 @@ class SimplicialSet:
             return v
 
         for e in self.nondeg(1):
-            (w0, a) = self.face_of(e, 1)
-            (w1, b) = self.face_of(e, 0)
-            ra, rb = find(a), find(b)
+            ra, rb = map(find, self.edge_endpoints(e))
             if ra != rb:
                 parent[rb] = ra
         groups = {}
@@ -329,8 +327,8 @@ class SimplicialSet:
             v = self.face(v, self.dim_of(v))
         return v[1]
 
-    def pi1_presentation(self, basepoint=None) -> GroupPresentation:
-        """Edge-path presentation of pi_1 at the basepoint's component.
+    def pi1_presentation(self) -> GroupPresentation:
+        """Edge-path presentation of pi_1 at the first component.
 
         Needs the 2-skeleton: a complete presentation or truncation >= 2.
         Generators are the nondegenerate edges off a breadth-first spanning
@@ -342,10 +340,7 @@ class SimplicialSet:
         comps = self.components()
         if not comps:
             raise ValueError("empty simplicial set has no pi_1")
-        if basepoint is None:
-            comp = comps[0]
-        else:
-            comp = next(c for c in comps if basepoint in c)
+        comp = comps[0]
         in_comp = set(comp)
 
         # breadth-first spanning tree over nondegenerate edges
@@ -393,8 +388,8 @@ class SimplicialSet:
             relators.append(tuple(word))
         return GroupPresentation.build(tuple(gen_names.values()), relators)
 
-    def fundamental_group(self, basepoint=None, budget: int = 10000) -> GroupPresentation:
-        return self.pi1_presentation(basepoint).simplified(budget)
+    def fundamental_group(self) -> GroupPresentation:
+        return self.pi1_presentation().simplified()
 
 
 @dataclass(frozen=True)
@@ -417,7 +412,7 @@ class Contractibility:
 
 
 def contractibility(space: SimplicialSet, depth: int,
-                    budget: int = 10000, homology=None) -> Contractibility:
+                    homology=None) -> Contractibility:
     """`homology`, if given, is `space.homology(depth)` computed earlier."""
     if not space.vertices():
         return Contractibility("not_contractible", None, "no vertices")
@@ -444,7 +439,7 @@ def contractibility(space: SimplicialSet, depth: int,
         if space.truncation is not None and space.truncation < 2:
             return Contractibility("inconclusive", None,
                                    "pi_1 needs the 2-skeleton")
-        pres = space.fundamental_group(budget=budget)
+        pres = space.fundamental_group()
         if pres.generators:
             return Contractibility(
                 "inconclusive", None,
@@ -467,7 +462,7 @@ class LevelModel:
     Compilation asks for each map once per level and applies the function
     it gets to every token there, so `act(f)` should do the work that
     depends only on f before it returns.  Compilation finds which tokens
-    are degenerate, assigns ids to the rest, and rebuilds face records
+    are degenerate, keeps the rest as ids, and rebuilds face records
     over values.
     """
 
@@ -475,7 +470,6 @@ class LevelModel:
     act: object
     max_dim: int
     truncation: int | None = None
-    label: object = None
 
     def compile(self) -> "CompiledLevelModel":
         tokens = {n: list(self.levels(n)) for n in range(self.max_dim + 1)}
@@ -502,11 +496,10 @@ class LevelModel:
             for t in tokens[n]:
                 if (n, t) in mark:
                     continue
-                name = self.label(n, t) if self.label else t
-                if name in used:
-                    raise ValueError(f"duplicate simplex id {name!r}")
-                used.add(name)
-                ids[(n, t)] = name
+                if t in used:
+                    raise ValueError(f"duplicate simplex id {t!r}")
+                used.add(t)
+                ids[(n, t)] = t
 
         cofaces = {n: [self.act(DeltaMap.coface(i, n)) for i in range(n + 1)]
                    for n in range(1, self.max_dim + 1)}

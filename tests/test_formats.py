@@ -63,6 +63,21 @@ def test_sset_field_validation():
             {"dims": [["v"]], "faces": {}, "truncation": "2"}))
 
 
+@pytest.mark.parametrize("data,message", [
+    ({"dims": [["v"]], "truncation": True}, "'truncation' must be an integer"),
+    # a 3-simplex whose faces are all s_1 s_0 v, one letter written as true
+    ({"dims": [["v"], [], [], ["x"]],
+      "faces": {"x": [[[True, 0], "v"]] + [[[1, 0], "v"]] * 3}},
+     r"faces\['x'\]\[0\] must be \[word, id\]"),
+    ({"dims": [["v"], [], ["t"]],
+      "faces": {"t": [[[0], "v"], [[0], "v"], [[-1], "v"]]}},
+     "sset file: degeneracy word out of range"),
+], ids=["boolean-truncation", "boolean-letter", "negative-letter"])
+def test_sset_rejects_booleans_and_negative_letters(data, message):
+    with pytest.raises(ValueError, match=message):
+        load_sset(json.dumps(data))
+
+
 def test_sset_face_targets_are_checked_by_the_wrapped_constructor():
     # structurally fine JSON, semantically broken presentation
     bad = json.dumps({"dims": [["v"], ["e"]],

@@ -292,11 +292,10 @@ def reference_compile(model: LevelModel):
         for t in tokens[n]:
             if (n, t) in mark:
                 continue
-            name = model.label(n, t) if model.label else t
-            if name in used:
-                raise ValueError(f"duplicate simplex id {name!r}")
-            used.add(name)
-            ids[(n, t)] = name
+            if t in used:
+                raise ValueError(f"duplicate simplex id {t!r}")
+            used.add(t)
+            ids[(n, t)] = t
     dims, faces, token_of = {}, {}, {}
     for (n, t), name in ids.items():
         dims[name] = n
@@ -367,7 +366,9 @@ def test_compile_rejects_a_degeneracy_that_leaves_the_model():
 
 
 def test_compile_rejects_duplicate_simplex_ids():
-    model = LevelModel(levels=lambda n: ["v", "w"], act=_identity_action,
-                       max_dim=0, label=lambda n, t: "pt")
-    with pytest.raises(ValueError, match="duplicate simplex id 'pt'"):
+    # every degeneracy lands on "w", so "v" is nondegenerate at both levels
+    levels = {0: ["v"], 1: ["w", "v"]}
+    model = LevelModel(levels=levels.__getitem__,
+                       act=lambda f: lambda t: "w", max_dim=1)
+    with pytest.raises(ValueError, match="duplicate simplex id 'v'"):
         model.compile()
