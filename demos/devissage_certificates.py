@@ -9,7 +9,7 @@ is the finite shadow of the embedding inducing an equivalence.
 """
 
 from qcat.deviss import (VectToAbP, admissible_filtration, comma_over,
-                         devissage_certificate)
+                         devissage_certificate, q_functor)
 from qcat.exact import AbPInstance, VectInstance
 from qcat.qcons import abelian_label
 
@@ -26,9 +26,10 @@ def filtration_table(psi):
 
 def slice_homology(psi, depth):
     t = psi.target
+    fun = q_functor(psi)
     print(f"\nslice homology at depth {depth}")
     for x in t.objects():
-        ss = comma_over(psi, x, depth)
+        ss = comma_over(fun, x, depth)
         line = ", ".join(f"H_{d} = {abelian_label(b, tors)}"
                          for d, (b, tors) in enumerate(ss.homology(depth - 1)))
         print(f"  over {t.label(x):8s} {line}")

@@ -173,7 +173,7 @@ def _parse_probe(token: str, target: AbPInstance):
                 f"probe {token!r}: expected 0 or a +-joined list of cN terms")
         order = int(part[1:])
         e = 0
-        while order % target.p == 0:
+        while order and order % target.p == 0:
             order //= target.p
             e += 1
         if order != 1 or e == 0:

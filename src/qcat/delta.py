@@ -121,11 +121,7 @@ def pullback_map(word, f: SimplicialMap, depth: int) -> SimplicialMap:
     """Functorial action on maps: act on level tokens by f."""
     src = pullback_model(word, f.source, depth).compile()
     dst = pullback_model(word, f.target, depth).compile()
-    assignment = {}
-    for name, n in src.space.dims.items():
-        token = src.token_of[name]
-        assignment[name] = dst.value_of_token(n, f.on_value(token))
-    return SimplicialMap(src.space, dst.space, assignment)
+    return src.map_to(dst, lambda token, n: f.on_value(token))
 
 
 def edgewise(x: SimplicialSet, depth: int) -> SimplicialSet:
@@ -143,16 +139,13 @@ def edgewise_structure_map(x: SimplicialSet, depth: int) -> SimplicialMap:
     model = product_model(x.opposite(), x)
     prod = replace(model, max_dim=max(model.max_dim, depth)).compile()
 
-    assignment = {}
-    for name, n in src.space.dims.items():
-        token = src.token_of[name]  # a value of x in dimension 2n+1
+    def push(token, n):  # token is a value of x in dimension 2n+1
         into_op = DeltaMap(n, 2 * n + 1, tuple(range(n + 1)))
         into_id = DeltaMap(n, 2 * n + 1, tuple(n + 1 + i for i in range(n + 1)))
-        first = x.act(into_op, token)
-        first_op = (op_word(first[0], n), first[1])
-        second = x.act(into_id, token)
-        assignment[name] = prod.value_of_token(n, (first_op, second))
-    return SimplicialMap(src.space, prod.space, assignment)
+        first = x.action(into_op)(token)
+        return ((op_word(first[0], n), first[1]), x.action(into_id)(token))
+
+    return src.map_to(prod, push)
 
 
 @dataclass(frozen=True)

@@ -91,9 +91,9 @@ def check_embedding(psi: ExactEmbedding) -> list[str]:
                 g = psi.on_mor(f)
                 if (g.src, g.dst) != (psi.on_object(x), psi.on_object(y)):
                     problems.append(f"image of {f!r} has wrong endpoints")
-                if s.is_ingressive(f) and not t.is_ingressive(g):
+                if s.is_mono(f) and not t.is_mono(g):
                     problems.append(f"ingressive {f!r} loses its class")
-                if s.is_egressive(f) and not t.is_egressive(g):
+                if s.is_epi(f) and not t.is_epi(g):
                     problems.append(f"egressive {f!r} loses its class")
         if psi.on_mor(s.identity(x)) != t.identity(psi.on_object(x)):
             problems.append(f"identity of {x!r} not preserved")
@@ -146,8 +146,7 @@ class AdmissibleFiltration:
     stage_objects: tuple          # 0 = X_0, ..., X_m = X
     inclusions: tuple             # X_{i-1} >-> X_i
     quotient_objects: tuple       # X_i / X_{i-1}
-    witnesses: tuple              # source objects U_i
-    witness_isos: tuple           # psi U_i -> X_i / X_{i-1}
+    witnesses: tuple              # source objects U_i, psi U_i = X_i / X_{i-1}
 
     @property
     def length(self) -> int:
@@ -187,7 +186,6 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
 
     quotients = []
     witnesses = []
-    isos = []
     for i, step in enumerate(inclusions):
         q_obj = t.cokernel(step)[0]
         struct = t._exps_of(q_obj)
@@ -208,23 +206,25 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
                 "does not map onto the quotient")
         quotients.append(q_obj)
         witnesses.append(u)
-        isos.append(t.identity(q_obj))
 
     return AdmissibleFiltration(x, tuple(stage_objects), tuple(inclusions),
-                                tuple(quotients), tuple(witnesses), tuple(isos))
+                                tuple(quotients), tuple(witnesses))
 
 
 # -- slice categories of the induced span functor -----------------------------
 
 
-def comma_over(psi: ExactEmbedding, x, depth: int,
-               _fun: FunctorData | None = None) -> SimplicialSet:
-    """Nerve of the slice of the induced span functor over x, truncated
-    at `depth`."""
+def _require_comma_depth(depth: int):
     if depth > COMMA_DEPTH_BOUND:
         raise GuardError(
             f"comma nerve depth is bounded at {COMMA_DEPTH_BOUND}")
-    fun = _fun if _fun is not None else q_functor(psi)
+
+
+def comma_over(fun: FunctorData, x, depth: int) -> SimplicialSet:
+    """Nerve of the slice over x of `fun`, the span functor that
+    `q_functor` induces, truncated at `depth`.  Build `fun` once and
+    pass it for every x: it holds both span categories."""
+    _require_comma_depth(depth)
     return nerve(comma(fun, x), depth)
 
 
@@ -266,13 +266,14 @@ def devissage_certificate(psi: ExactEmbedding, probe_objects,
     """Per-probe contractibility certificates for the slices, plus the
     filtration-stability check: across every stage of every probe's
     filtration, the slice homology reports must agree."""
+    _require_comma_depth(depth)
     fun = q_functor(psi)
     t = psi.target
     reports = {}
 
     def homology_of(obj):
         if obj not in reports:
-            ss = comma_over(psi, obj, depth, _fun=fun)
+            ss = comma_over(fun, obj, depth)
             reports[obj] = (ss, tuple(map(tuple, ss.homology(depth - 1))))
         return reports[obj]
 

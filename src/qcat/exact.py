@@ -11,8 +11,9 @@ Morphisms in the span calculus are graph subgroups: the span
 X <- U -> Y with epi left leg and mono right leg embeds into X + Y, and
 the member set of its image W is the unique representative of the span's
 isomorphism class.  Composition is relation composition of member sets.
-The Hermite key of W (`zmod.subgroup_key`) only orders `all_spans` and
-feeds the Smith path that unpacks a span's legs.
+The Hermite key of W (`zmod.subgroup_key`) only orders `all_spans`.
+Kernels, span apexes and pullbacks are built by `Instance._subobject`,
+cokernels and pushouts by `Instance._quotient`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class Mor:
 
 class Instance:
     """Shared engine; subclasses fix the object inventory and the typing
-    of structure tuples back to objects.
+    of structure tuples back to objects.  `_subobject` and `_quotient`
+    are its one subgroup routine and its one quotient routine.
 
     Element tuples and each span's legs are memoized on the instance.
     An object is only a typing value whose group depends on the instance
@@ -108,14 +110,6 @@ class Instance:
         image = {self.apply(f, v) for v in self.elements(f.src)}
         return len(image) == self.order(f.dst)
 
-    # in these bounded abelian instances every mono and epi is admissible:
-    # kernels, images and quotients never outgrow the ambient bound
-    def is_ingressive(self, f: Mor) -> bool:
-        return self.is_mono(f)
-
-    def is_egressive(self, f: Mor) -> bool:
-        return self.is_epi(f)
-
     def monos(self, x, y) -> list[Mor]:
         return [f for f in self.hom(x, y) if self.is_mono(f)]
 
@@ -152,26 +146,28 @@ class Instance:
         return (s, Mor(x, s, i1), Mor(y, s, i2),
                 Mor(s, x, p1), Mor(s, y, p2))
 
+    def _subobject(self, moduli, members):
+        """The subgroup generated by `members`, as (object, inclusion)."""
+        struct, basis = zmod.subgroup_basis(moduli, members, self.p)
+        rows = tuple(tuple(b[i] for b in basis) for i in range(len(moduli)))
+        return self.object_of_structure(struct), rows
+
+    def _quotient(self, moduli, gens):
+        """The quotient by the span of `gens`, as (object, projection)."""
+        struct, rows = zmod.quotient_map(moduli, gens, self.p)
+        return self.object_of_structure(struct), rows
+
     def cokernel(self, f: Mor):
         """Returns (c, q: f.dst -> c) with q the canonical projection."""
-        struct, rows = zmod.quotient_map(self.moduli_of(f.dst),
-                                         list(zip(*f.rows)), self.p)
-        c = self.object_of_structure(struct)
+        c, rows = self._quotient(self.moduli_of(f.dst), list(zip(*f.rows)))
         return c, Mor(f.dst, c, rows)
 
     def kernel(self, f: Mor):
         """Returns (k, i: k -> f.src) with i the canonical inclusion."""
         z = zmod.zero(self.moduli_of(f.dst))
         members = [v for v in self.elements(f.src) if self.apply(f, v) == z]
-        struct, basis = zmod.subgroup_basis(self.moduli_of(f.src),
-                                            members, self.p)
-        k = self.object_of_structure(struct)
-        return k, Mor(k, f.src, _columns(basis, len(self.moduli_of(f.src))))
-
-
-def _columns(basis, n: int) -> tuple:
-    """Rows of the map whose j-th column is basis[j]."""
-    return tuple(tuple(b[i] for b in basis) for i in range(n))
+        k, rows = self._subobject(self.moduli_of(f.src), members)
+        return k, Mor(k, f.src, rows)
 
 
 class VectInstance(Instance):
@@ -325,10 +321,7 @@ def span_legs(inst: Instance, s: Span):
     """Unpacks the span as (w, e: w -> src, m: w -> dst)."""
     legs = inst._span_legs.get(s)
     if legs is None:
-        moduli = _pair_moduli(inst, s.src, s.dst)
-        struct, basis = zmod.subgroup_basis(moduli, s.members, inst.p)
-        w = inst.object_of_structure(struct)
-        rows = _columns(basis, len(moduli))
+        w, rows = inst._subobject(_pair_moduli(inst, s.src, s.dst), s.members)
         nx = len(inst.moduli_of(s.src))
         legs = inst._span_legs[s] = (w, Mor(w, s.src, rows[:nx]),
                                      Mor(w, s.dst, rows[nx:]))
@@ -401,65 +394,60 @@ def square_commutes(inst: Instance, sq: Square) -> bool:
     return lhs == rhs
 
 
-def ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
-    """Pullback of the cospan i: U >-> Y along e: V ->> Y, as the kernel
-    of the difference map U + V -> Y.  The returned square has the
-    pullback at nw, i at right, e at bottom."""
-    if i.dst != e.dst:
-        raise ValueError("legs must share their target")
+def _require_legs(inst: Instance, i: Mor, e: Mor, shared: bool, end: str):
+    """Raise unless i is a mono, e an epi and they share their `end`."""
+    if not shared:
+        raise ValueError(f"legs must share their {end}")
     if not inst.is_mono(i):
         raise ValueError("first leg must be an admissible mono")
     if not inst.is_epi(e):
         raise ValueError("second leg must be an admissible epi")
+
+
+def _require_ambigressive(inst: Instance, sq: Square, kind: str, w, y):
+    """Raise unless sq commutes and the size identity |W| |Y| = |U| |V|
+    (U at ne, V at sw) pins the order of the new corner W."""
+    if not square_commutes(inst, sq):
+        raise ValueError(f"ambigressive {kind}: square does not commute")
+    ow, oy, ou, ov = (inst.order(x) for x in (w, y, sq.ne, sq.sw))
+    if ow * oy != ou * ov:
+        raise ValueError(f"ambigressive {kind}: |W| |Y| = {ow} * {oy} "
+                         f"but |U| |V| = {ou} * {ov}")
+    return sq
+
+
+def ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
+    """Pullback of the cospan i: U >-> Y along e: V ->> Y, as the kernel
+    of the difference map U + V -> Y.  The returned square has the
+    pullback at nw, i at right, e at bottom."""
+    _require_legs(inst, i, e, i.dst == e.dst, "target")
     mu = inst.moduli_of(i.src)
     mv = inst.moduli_of(e.src)
     moduli = mu + mv
     nu = len(mu)
     members = [uv for uv in zmod.elements(moduli)
                if inst.apply(i, uv[:nu]) == inst.apply(e, uv[nu:])]
-    struct, basis = zmod.subgroup_basis(moduli, members, inst.p)
-    w = inst.object_of_structure(struct)
-    rows = _columns(basis, len(moduli))
+    w, rows = inst._subobject(moduli, members)
     sq = Square(top=Mor(w, i.src, rows[:nu]), left=Mor(w, e.src, rows[nu:]),
                 right=i, bottom=e)
-    if not square_commutes(inst, sq):
-        raise ValueError("ambigressive pullback: square does not commute")
-    # the size identity |W| |Y| = |U| |V| pins the pullback's order
-    ow, oy, ou, ov = (inst.order(x) for x in (sq.nw, i.dst, i.src, e.src))
-    if ow * oy != ou * ov:
-        raise ValueError(f"ambigressive pullback: |W| |Y| = {ow} * {oy} "
-                         f"but |U| |V| = {ou} * {ov}")
-    return sq
+    return _require_ambigressive(inst, sq, "pullback", w, i.dst)
 
 
 def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
     """Pushout of the span i: Y >-> U, e: Y ->> V: the quotient of U + V
     by the antidiagonal image of Y.  The returned square has Y at nw and
     the pushout at se."""
-    if i.src != e.src:
-        raise ValueError("legs must share their source")
-    if not inst.is_mono(i):
-        raise ValueError("first leg must be an admissible mono")
-    if not inst.is_epi(e):
-        raise ValueError("second leg must be an admissible epi")
+    _require_legs(inst, i, e, i.src == e.src, "source")
     # the antidiagonal images of Y's generators: columns of i over -e
     anti = [(*(r[j] for r in i.rows), *(-r[j] for r in e.rows))
             for j in range(len(inst.moduli_of(i.src)))]
     mu = inst.moduli_of(i.dst)
-    struct, proj = zmod.quotient_map(mu + inst.moduli_of(e.dst), anti, inst.p)
-    w = inst.object_of_structure(struct)
+    w, proj = inst._quotient(mu + inst.moduli_of(e.dst), anti)
     nu = len(mu)
     from_u = Mor(i.dst, w, tuple(row[:nu] for row in proj))
     from_v = Mor(e.dst, w, tuple(row[nu:] for row in proj))
     sq = Square(top=i, left=e, right=from_u, bottom=from_v)
-    if not square_commutes(inst, sq):
-        raise ValueError("ambigressive pushout: square does not commute")
-    # the size identity |W| |Y| = |U| |V| pins the pushout's order
-    ow, oy, ou, ov = (inst.order(x) for x in (w, i.src, i.dst, e.dst))
-    if ow * oy != ou * ov:
-        raise ValueError(f"ambigressive pushout: |W| |Y| = {ow} * {oy} "
-                         f"but |U| |V| = {ou} * {ov}")
-    return sq
+    return _require_ambigressive(inst, sq, "pushout", w, i.src)
 
 
 def is_pullback_square(inst: Instance, sq: Square) -> bool:
@@ -528,16 +516,15 @@ class TripleReport:
     failures: tuple[str, ...]
 
 
-def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleReport:
+def verify_triple(inst: Instance) -> TripleReport:
     """For every cospan (mono into Y, epi onto Y): the ambigressive
     pullback exists within bounds, pulling back the epi gives an epi,
     pulling back the mono gives a mono, and the size identity holds.
 
-    `check_epis`/`check_monos` override the enumerated classes (used by
-    negative controls that corrupt the instance's notion of egressive).
+    The leg classes are read from `inst.epis` and `inst.monos`, so an
+    instance whose classes are corrupted (say `inst.epis = inst.hom`)
+    is checked as it stands.
     """
-    epis_of = check_epis or (lambda v, y: inst.epis(v, y))
-    monos_of = check_monos or (lambda u, y: inst.monos(u, y))
     objs = inst.objects()
     bounded = set(objs)
     # the fiber product W = {(x, w) : i(x) = e(w)} is never listed: the
@@ -556,7 +543,7 @@ def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleRe
         # killed by p^k for k = 0..top]
         epis = []
         for v in objs:
-            for e in epis_of(v, y):
+            for e in inst.epis(v, y):
                 fibers = {}
                 for w, o in zip(inst.elements(v), ords[v]):
                     cum = fibers.setdefault(inst.apply(e, w), [0] * (top + 1))
@@ -565,7 +552,7 @@ def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleRe
                 epis.append((v, inst.order(v), fibers))
         for u in objs:
             u_order = inst.order(u)
-            for i in monos_of(u, y):
+            for i in inst.monos(u, y):
                 images = [inst.apply(i, x) for x in inst.elements(u)]
                 # (x, 0) lies in W exactly when i(x) = e(0) = 0
                 mono = images.count(zero_y) == 1
@@ -599,12 +586,6 @@ def verify_triple(inst: Instance, check_epis=None, check_monos=None) -> TripleRe
                             return TripleReport(False, checked,
                                                 tuple(failures))
     return TripleReport(not failures, checked, tuple(failures))
-
-
-def all_maps_egressive(inst: Instance):
-    """Negative-control leg class: pretends every map is an admissible
-    epi.  Feed to verify_triple's check_epis."""
-    return lambda v, y: inst.hom(v, y)
 
 
 def parse_instance(descriptor: str) -> Instance:

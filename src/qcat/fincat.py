@@ -9,7 +9,7 @@ set it returns is complete; otherwise a truncation depth is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .delta import EDGEWISE
 from .errors import GuardError
@@ -26,11 +26,13 @@ class FiniteCategory:
         self.identity = dict(identity)
         self.compose_table = dict(compose_table)
         self._sorted = None
+        self._checked = False     # set by require_category once it passes
 
     def _index(self):
         """Sort the morphisms by repr and group them by source, by target
         and by (source, target), each group in sorted order.  Built on
-        first use, so `morph` must not change after a lookup."""
+        first use, so `morph` must not change after a lookup; nor may the
+        table once `require_category` has recorded its passing verdict."""
         if self._sorted is None:
             by_src, by_dst, by_ends = {}, {}, {}
             order = sorted(self.morph, key=repr)
@@ -137,9 +139,13 @@ def check_axioms(c: FiniteCategory) -> list[str]:
 
 
 def require_category(c: FiniteCategory):
+    """Raise ValueError on axiom violations; a pass is recorded on c."""
+    if c._checked:
+        return
     problems = check_axioms(c)
     if problems:
         raise ValueError("; ".join(problems[:3]))
+    c._checked = True
 
 
 def opposite_cat(c: FiniteCategory) -> FiniteCategory:
@@ -321,25 +327,19 @@ def nerve(c: FiniteCategory, depth: int | None = None) -> SimplicialSet:
 
 def nerve_map(fun: FunctorData, depth: int | None = None) -> SimplicialMap:
     src_model = nerve_model(fun.source, depth)
-    src = src_model.compile()
     dst_model = nerve_model(fun.target, depth)
     # the image of a long identity-free string can involve identities, so
     # the target model must be compiled at least as deep as the source
     if dst_model.max_dim < src_model.max_dim:
         _require_nerve_size(fun.target, src_model.max_dim)
-        dst_model = LevelModel(dst_model.levels, dst_model.act,
-                               src_model.max_dim, dst_model.truncation)
-    dst = dst_model.compile()
+        dst_model = replace(dst_model, max_dim=src_model.max_dim)
 
     def push(token, n):
         if n == 0:
             return fun.on_objects[token]
         return tuple(fun.on_morphisms[m] for m in token)
 
-    assignment = {}
-    for name, n in src.space.dims.items():
-        assignment[name] = dst.value_of_token(n, push(src.token_of[name], n))
-    return SimplicialMap(src.space, dst.space, assignment)
+    return src_model.compile().map_to(dst_model.compile(), push)
 
 
 # -- twisted arrows -------------------------------------------------------

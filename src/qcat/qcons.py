@@ -154,10 +154,10 @@ def check_diagram(inst: Instance, d: AmbigressiveDiagram) -> list[str]:
     square bicartesian.  Returns problem descriptions, [] when clean."""
     problems = []
     for (i, j), e in d.epis.items():
-        if not inst.is_egressive(e):
+        if not inst.is_epi(e):
             problems.append(f"step X_{i}{j} -> X_{i}{j - 1} is not egressive")
     for (i, j), m in d.monos.items():
-        if not inst.is_ingressive(m):
+        if not inst.is_mono(m):
             problems.append(f"step X_{i}{j} -> X_{i + 1}{j} is not ingressive")
     if problems:
         return problems

@@ -163,10 +163,6 @@ class SimplicialSet:
         word, x = value
         return (insert_degeneracy(j, word), x)
 
-    def act(self, f: DeltaMap, value) -> Value:
-        """Contravariant action: f:[a]->[b] sends a b-value to an a-value."""
-        return self.action(f)(value)
-
     def action(self, f: DeltaMap):
         """The contravariant action of f:[a]->[b] as a function from
         b-values to a-values.
@@ -513,7 +509,7 @@ class LevelModel:
                 faces[name] = tuple(_resolve(mark, ids, n - 1, d(t))
                                     for d in cofaces[n])
         sset = SimplicialSet(dims, faces, self.truncation)
-        return CompiledLevelModel(sset, tokens, mark, ids, token_of, self)
+        return CompiledLevelModel(sset, tokens, mark, ids, token_of)
 
 
 def _resolve(mark, ids, n, t) -> Value:
@@ -529,15 +525,19 @@ def _resolve(mark, ids, n, t) -> Value:
 
 @dataclass
 class CompiledLevelModel:
+    """`map_to(other, push)` is the simplicial map into `other` sending
+    the simplex with token t at level n to the value of token push(t, n)."""
     space: SimplicialSet
     tokens: dict
     mark: dict
     ids: dict
     token_of: dict
-    model: LevelModel
 
-    def value_of_token(self, n, t) -> Value:
-        return _resolve(self.mark, self.ids, n, t)
+    def map_to(self, other: "CompiledLevelModel", push) -> "SimplicialMap":
+        return SimplicialMap(self.space, other.space, {
+            name: _resolve(other.mark, other.ids, n,
+                           push(self.token_of[name], n))
+            for name, n in self.space.dims.items()})
 
 
 def truncate(x: SimplicialSet, depth: int) -> SimplicialSet:

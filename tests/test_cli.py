@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qcat.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 RP2 = str(FIXTURES / "rp2.sset")
 BZ2 = str(FIXTURES / "bz2.cat")
 
@@ -127,6 +131,22 @@ def test_malformed_input_exits_two(capsys, argv, needle):
     assert rc == 2
     assert out == ""
     assert needle in err
+
+
+@pytest.mark.parametrize("probe", ["c0", "c00"])
+def test_zero_order_probe_exits_two(probe):
+    # a fresh process with a timeout, so a parser that loops on order 0
+    # fails this test instead of hanging the suite
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "qcat", "devissage", "--source", "vect:2:2",
+         "--target", "abp:2:4", "--probes", probe, "--depth", "2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"{probe!r} is not a nontrivial power of 2" in done.stderr
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -29,6 +29,11 @@ def psi():
     return VectToAbP(VectInstance(2, 2), AbPInstance(2, 4))
 
 
+@pytest.fixture(scope="module")
+def fun(psi):
+    return q_functor(psi)
+
+
 # -- embedding checks ----------------------------------------------------
 
 
@@ -119,8 +124,8 @@ def test_filtration_rejects_foreign_object(psi):
 # -- slices of the induced span functor ----------------------------------
 
 
-def test_comma_over_zero_is_a_point(psi):
-    ss = comma_over(psi, (), 2)
+def test_comma_over_zero_is_a_point(fun):
+    ss = comma_over(fun, (), 2)
     assert [len(ss.nondeg(n)) for n in range(3)] == [1, 0, 0]
     assert contractibility(ss, 2).certified()
 
@@ -130,7 +135,7 @@ def test_identity_slices_are_contractible():
     ident = IdentityEmbedding(v2)
     fun = q_functor(ident)
     for x, depth in [(0, 2), (1, 2), (2, 1)]:
-        ss = comma_over(ident, x, depth + 1, _fun=fun)
+        ss = comma_over(fun, x, depth + 1)
         report = contractibility(ss, depth)
         assert report.certified(), (x, report.reason)
 
@@ -146,14 +151,24 @@ def test_identity_slice_has_terminal_object():
     assert len(terminals) == 1
 
 
-def test_comma_depth_guard(psi):
+def test_comma_depth_guard(fun):
     with pytest.raises(GuardError, match="bounded"):
-        comma_over(psi, (), 5)
+        comma_over(fun, (), 5)
 
 
-def test_probe_slice_regression_over_c2(psi):
+def test_devissage_depth_guard_trips_before_building_the_functor(
+        psi, monkeypatch):
+    def unreachable(_psi):
+        pytest.fail("q_functor built before the depth guard")
+
+    monkeypatch.setattr("qcat.deviss.q_functor", unreachable)
+    with pytest.raises(GuardError, match="bounded"):
+        devissage_certificate(psi, [(1,)], 5)
+
+
+def test_probe_slice_regression_over_c2(fun):
     # frozen after the first machine run at full probe depth
-    ss = comma_over(psi, (1,), 3)
+    ss = comma_over(fun, (1,), 3)
     assert [len(ss.nondeg(n)) for n in range(4)] == [3, 2, 0, 0]
     assert ss.homology(2) == [(1, []), (0, []), (0, [])]
     report = contractibility(ss, 2)

@@ -29,7 +29,7 @@ from qcat.fincat import (
     twisted_arrow,
     twisted_projection,
 )
-from qcat.qcons import q_category
+from qcat.qcons import k0, q_category
 from qcat.simpset import left_fibration_check
 
 BZ2 = Path(__file__).resolve().parent.parent / "fixtures" / "bz2.cat"
@@ -61,6 +61,28 @@ def test_axiom_checker_flags_missing_composite():
     c = FiniteCategory((0, 1), morph, {0: "id0", 1: "id1"}, table)
     problems = check_axioms(c)
     assert any("missing composite" in p for p in problems)
+
+
+def test_axioms_are_checked_once_per_category(monkeypatch):
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return check_axioms(c)
+
+    monkeypatch.setattr(fincat, "check_axioms", spy)
+    k0(VectInstance(2, 2), 3)
+    assert len(calls) == 1
+
+
+def test_a_failing_axiom_check_is_not_recorded():
+    morph = {"id0": (0, 0), "id1": (1, 1), "f": (0, 1)}
+    table = {("id0", "id0"): "id0", ("id1", "id1"): "id1",
+             ("f", "id0"): "f"}
+    c = FiniteCategory((0, 1), morph, {0: "id0", 1: "id1"}, table)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="missing composite"):
+            fincat.require_category(c)
 
 
 def test_opposite_cat_is_an_involution():

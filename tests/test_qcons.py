@@ -106,6 +106,13 @@ def test_instance_caches_stay_with_their_instance():
     assert _digests(odd) == TABLE_DIGESTS["abp:3:9"]
 
 
+def test_q_category_rejects_an_instance_failing_triple_verification():
+    inst = AbPInstance(2, 4)
+    inst.epis = inst.hom
+    with pytest.raises(ValueError, match="instance fails triple verification"):
+        qcons.q_category(inst)
+
+
 def test_k0_of_line_is_z(qv1, v1):
     # complete nerve: the only nonidentity morphisms are the two
     # parallel edges 0 => F, so the nerve is a circle
