@@ -7,7 +7,7 @@ fundamental group simplifies down to a single generator squaring to the
 identity.
 """
 
-from qcat.qcons import abelian_label
+from qcat.presentation import abelian_label
 from qcat.simpset import simplicial_set_from_triangulation
 
 SPHERE = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]

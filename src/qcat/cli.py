@@ -5,21 +5,22 @@ human-readable summary to stderr.  Reports depend only on the
 arguments.  Exit status: 0 for any completed run (negative verdicts
 are data, not errors), 1 when a construction guard trips, 2 for
 malformed input, with a message naming where the problem sits.
+
+Each handler imports its own layer (`delta`, `fincat`, `qcons`,
+`deviss`, `gammastr`) when it runs.  Every command is a fresh process,
+and building those modules' classes costs more start-up time than
+`homology` or `pi1` spends computing, so only the input parsers and
+the shared `exact` instances load with this module.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from .delta import is_combinatorial_subdivision, parse_word
-from .deviss import VectToAbP, devissage_certificate
 from .errors import GuardError
-from .exact import AbPInstance, VectInstance, parse_instance, verify_triple
-from .fincat import nerve_map, nerve_twisted_vs_edgewise, twisted_projection
+from .exact import AbPInstance, VectInstance, parse_instance
 from .formats import _canon, load_category, load_sset
-from .gammastr import retraction_naturality_report, u_functoriality_report
-from .qcons import abelian_label, k0, segal_spine_check
-from .simpset import left_fibration_check
+from .presentation import abelian_label
 
 
 def _read(path: str, kind: str) -> str:
@@ -52,6 +53,7 @@ def _presentation_json(pres) -> dict:
 
 
 def run_subdivide(args):
+    from .delta import is_combinatorial_subdivision, parse_word
     word = parse_word(args.word)
     verdict = is_combinatorial_subdivision(word, args.mmax, args.depth)
     report = {
@@ -74,6 +76,8 @@ def run_subdivide(args):
 
 
 def run_twisted(args):
+    from .fincat import nerve_map, nerve_twisted_vs_edgewise, twisted_projection
+    from .simpset import left_fibration_check
     c = load_category(_read(args.infile, "category"))
     ok, witness = nerve_twisted_vs_edgewise(c, args.depth)
     shadow = nerve_map(twisted_projection(c), args.depth)
@@ -129,6 +133,7 @@ def run_pi1(args):
 
 
 def run_k0(args):
+    from .qcons import k0
     inst = parse_instance(args.instance)
     rep = k0(inst, args.depth)
     report = {
@@ -147,6 +152,7 @@ def run_k0(args):
 
 
 def run_segal(args):
+    from .qcons import segal_spine_check
     inst = parse_instance(args.instance)
     rep = segal_spine_check(inst, args.n)
     report = {
@@ -188,6 +194,7 @@ def _parse_probe(token: str, target: AbPInstance):
 
 
 def run_devissage(args):
+    from .deviss import VectToAbP, devissage_certificate
     source = parse_instance(args.source)
     target = parse_instance(args.target)
     if not isinstance(source, VectInstance):
@@ -229,6 +236,7 @@ def run_devissage(args):
 
 
 def run_gamma(args):
+    from .gammastr import retraction_naturality_report, u_functoriality_report
     if args.check == "u-functoriality":
         rep = u_functoriality_report(args.max_arity)
     else:
@@ -247,6 +255,7 @@ def run_gamma(args):
 
 
 def run_check_instance(args):
+    from .exact import verify_triple
     inst = parse_instance(args.instance)
     rep = verify_triple(inst)
     report = {

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from . import parallel
 from .ordmaps import DeltaMap
-from .parallel import parallel_map
 from .simpset import (
     Contractibility,
     LevelModel,
@@ -181,7 +181,7 @@ def is_combinatorial_subdivision(word, m_max: int, depth: int | None = None,
                                depth - 1)
 
     ms = list(range(1, m_max + 1))
-    certs = parallel_map(check, ms)
+    certs = parallel.parallel_map(check, ms)
     per_m = tuple(zip(ms, certs))
     for m, cert in per_m:
         if cert.status == "not_contractible":

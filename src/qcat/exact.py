@@ -39,7 +39,8 @@ class Instance:
     of structure tuples back to objects.  `_subobject` and `_quotient`
     are its one subgroup routine and its one quotient routine.
 
-    Element tuples and each span's legs are memoized on the instance.
+    Element tuples, the span classes of each pair of objects and each
+    span's legs are memoized on the instance.
     An object is only a typing value whose group depends on the instance
     (the object (1,) is Z/2 in abp:2:4 and Z/3 in abp:3:9), so these
     tables must never be shared between instances.
@@ -49,6 +50,7 @@ class Instance:
 
     def __init__(self):
         self._elements = {}       # object -> tuple of its elements
+        self._spans = {}          # (x, y) -> tuple of all_spans(x, y)
         self._span_legs = {}      # Span -> (w, e: w ->> src, m: w >-> dst)
 
     def objects(self):
@@ -334,11 +336,16 @@ def identity_span(inst: Instance, x) -> Span:
 
 
 def all_spans(inst: Instance, x, y) -> list[Span]:
-    """Every span class from x to y, ordered by the Hermite key of W."""
-    moduli = _pair_moduli(inst, x, y)
-    out = [Span(x, y, sub) for sub in zmod.all_subgroups(moduli)
-           if _graph_ok(inst, x, y, sub)[0]]
-    return sorted(out, key=lambda s: zmod.subgroup_key(moduli, s.members))
+    """Every span class from x to y, ordered by the Hermite key of W, as
+    a fresh list; the classes are enumerated once per instance and pair."""
+    spans = inst._spans.get((x, y))
+    if spans is None:
+        moduli = _pair_moduli(inst, x, y)
+        out = [Span(x, y, sub) for sub in zmod.all_subgroups(moduli)
+               if _graph_ok(inst, x, y, sub)[0]]
+        spans = inst._spans[(x, y)] = tuple(sorted(
+            out, key=lambda s: zmod.subgroup_key(moduli, s.members)))
+    return list(spans)
 
 
 def span_compose(inst: Instance, t: Span, s: Span) -> Span:
@@ -534,6 +541,7 @@ def verify_triple(inst: Instance) -> TripleReport:
             for x in objs}
     top = max(max(o) for o in ords.values())
     empty = [0] * (top + 1)
+    typed = {}  # W's killed counts -> its object, None if it has none
     failures = []
     checked = 0
     for y in objs:
@@ -571,11 +579,14 @@ def verify_triple(inst: Instance) -> TripleReport:
                         problems.append("pulled-back epi is not epi")
                     if not mono:
                         problems.append("pulled-back mono is not mono")
-                    struct = zmod.structure_from_killed(killed, inst.p)
-                    try:
-                        w_obj = inst.object_of_structure(struct)
-                    except ValueError:
-                        w_obj = None
+                    key = tuple(killed)
+                    if key not in typed:
+                        struct = zmod.structure_from_killed(killed, inst.p)
+                        try:
+                            typed[key] = inst.object_of_structure(struct)
+                        except ValueError:
+                            typed[key] = None
+                    w_obj = typed[key]
                     if w_obj is None or w_obj not in bounded:
                         problems.append("pullback escapes bounds")
                     if problems:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .delta import EDGEWISE
 from .errors import GuardError
 from .ordmaps import DeltaMap
 from .simpset import LevelModel, SimplicialMap, SimplicialSet
@@ -385,6 +384,7 @@ def nerve_twisted_vs_edgewise(c: FiniteCategory, depth: int = 3):
     flattens to (a_n, ..., a_1, f_0, b_1, ..., b_n).  Returns (True, None)
     or (False, witness).
     """
+    from .delta import EDGEWISE
     require_category(c)
     _require_nerve_size(c, 2 * depth + 1)
     tw = twisted_arrow(c)

@@ -7,10 +7,15 @@ sorted keys, no padding, and a trailing newline, so dumping a freshly
 parsed file reproduces it byte for byte.
 """
 
-import json
+from __future__ import annotations
 
-from .fincat import FiniteCategory
+import json
+from typing import TYPE_CHECKING
+
 from .simpset import SimplicialSet
+
+if TYPE_CHECKING:
+    from .fincat import FiniteCategory
 
 
 def _canon(data) -> str:
@@ -120,6 +125,7 @@ def relabel_to_strings(ss: SimplicialSet) -> SimplicialSet:
 
 
 def load_category(text: str) -> FiniteCategory:
+    from .fincat import FiniteCategory
     data = _json_of(text, "category")
     objects = data.get("objects")
     if not isinstance(objects, list) or \

@@ -191,8 +191,16 @@ class GroupPresentation:
         return GroupPresentation(tuple(gens),
                                  tuple(r for r in rels if r is not None))
 
-    def is_recognizably_trivial(self) -> bool:
-        return not self.simplified().generators
+
+def abelian_label(betti: int, torsion) -> str:
+    """Z^betti + Z/t + ... as text; "0" for the trivial group."""
+    parts = []
+    if betti == 1:
+        parts.append("Z")
+    elif betti > 1:
+        parts.append(f"Z^{betti}")
+    parts.extend(f"Z/{t}" for t in torsion)
+    return " + ".join(parts) if parts else "0"
 
 
 def _lone_generator(word: Word):

@@ -27,7 +27,7 @@ from .exact import (
     verify_triple,
 )
 from .fincat import FiniteCategory, nerve, require_category
-from .presentation import GroupPresentation
+from .presentation import GroupPresentation, abelian_label
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ def q_category(inst: Instance, verify: bool = True) -> QCategory:
     cat = FiniteCategory(objs, morphisms, identity, table)
     require_category(cat)
     return QCategory(inst, cat, span_of, name_of)
-
-
-def abelian_label(betti: int, torsion) -> str:
-    parts = []
-    if betti == 1:
-        parts.append("Z")
-    elif betti > 1:
-        parts.append(f"Z^{betti}")
-    parts.extend(f"Z/{t}" for t in torsion)
-    return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)

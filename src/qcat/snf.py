@@ -177,10 +177,6 @@ def smith_form(rows, n_cols: int | None = None):
     return diag, v, v_inv
 
 
-def integer_rank(rows, n_cols: int | None = None) -> int:
-    return len(smith_diagonal(rows, n_cols))
-
-
 def torsion_from_diagonal(diag) -> list[int]:
     """The entries > 1, i.e. orders of the finite cyclic summands."""
     return [d for d in diag if d > 1]

@@ -32,6 +32,7 @@ from qcat.exact import (
     verify_triple,
 )
 from qcat.snf import smith_diagonal
+from test_zmod import closure, structure_of
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +209,7 @@ def reference_span_compose(inst, t, s):
         moduli = inst.moduli_of(x) + inst.moduli_of(y)
         key = zmod.subgroup_key(moduli, members)
         gens = [tuple(c % m for c, m in zip(row, moduli)) for row in key]
-        return zmod.closure(moduli, gens)
+        return closure(moduli, gens)
 
     nx = len(inst.moduli_of(s.src))
     ny = len(inst.moduli_of(s.dst))
@@ -477,7 +478,7 @@ def reference_verify_triple(inst):
                         problems.append("pulled-back mono is not mono")
                     flat = [x + w for x, w in members]
                     moduli = inst.moduli_of(u) + inst.moduli_of(v)
-                    struct = zmod.structure_of(moduli, flat, inst.p)
+                    struct = structure_of(moduli, flat, inst.p)
                     try:
                         w_obj = inst.object_of_structure(struct)
                     except ValueError:

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qcat"
 
 
@@ -34,13 +36,50 @@ def test_no_assert_statements_or_assertion_handlers_in_src():
     assert offences == []
 
 
-def test_cli_import_skips_thread_pool_and_logging():
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cli_import_skips_thread_pool_and_logging():
     code = ("import sys, qcat.cli; "
             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+SPAN_STACK = {"delta", "deviss", "fincat", "gammastr", "qcons"}
+
+
+def _qcat_modules_imported(*args) -> set:
+    """The `qcat` submodules a fresh `python -X importtime ARGS` imports,
+    read off the import-time lines on its stderr."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          cwd=SRC.parent.parent, env=_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in
+             done.stderr.splitlines() if line.startswith("import time:")}
+    return {n[len("qcat."):] for n in names if n.startswith("qcat.")}
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import qcat.cli"],
+    ["-m", "qcat", "homology", "--in", "fixtures/rp2.sset"],
+    ["-m", "qcat", "pi1", "--in", "fixtures/rp2.sset"],
+], ids=["import", "homology", "pi1"])
+def test_cli_and_surface_commands_skip_the_span_stack(args):
+    loaded = _qcat_modules_imported(*args)
+    assert {"cli", "formats", "simpset"} <= loaded
+    assert loaded & (SPAN_STACK | {"parallel"}) == set()
+
+
+def test_check_instance_loads_only_the_instance_layer():
+    loaded = _qcat_modules_imported(
+        "-m", "qcat", "check-instance", "--instance", "abp:2:4")
+    assert "exact" in loaded
+    assert loaded & SPAN_STACK == set()

@@ -59,15 +59,19 @@ def test_simplified_eliminates_single_occurrence_generator():
     assert q.relators == ()
 
 
+def is_recognizably_trivial(p):
+    return not p.simplified().generators
+
+
 def test_simplified_detects_trivial_group():
     p = GroupPresentation.build("ab", [w("a b"), w("a")])
-    assert p.is_recognizably_trivial()
+    assert is_recognizably_trivial(p)
 
     # Z/2 must not collapse
     p2 = GroupPresentation.build("a", [w("a a")])
     q2 = p2.simplified()
     assert q2.generators == ("a",)
-    assert not p2.is_recognizably_trivial()
+    assert not is_recognizably_trivial(p2)
 
 
 def test_relator_tidying_drops_duplicates_and_empties():

@@ -239,6 +239,27 @@ def test_segal_spine_counts(desc, n, count):
     assert rep.composable_strings == count
 
 
+def test_segal_enumerates_the_spans_of_each_pair_once(monkeypatch):
+    # enumerate_ambigressive and the string count both walk the spine
+    # strings; the span classes behind them are enumerated once per pair
+    inst = AbPInstance(2, 4)
+    calls = []
+    real = zmod.all_subgroups
+
+    def spy(moduli):
+        calls.append(moduli)
+        return real(moduli)
+
+    monkeypatch.setattr(zmod, "all_subgroups", spy)
+    rep = qcons.segal_spine_check(inst, 2)
+    pairs = len(inst.objects()) ** 2
+    assert (rep.passed, rep.composable_strings) == (True, 154)
+    assert len(calls) == pairs
+    # the category built from the tabled spans is the pinned one
+    assert _digests(qcons.q_category(inst)) == TABLE_DIGESTS["abp:2:4"]
+    assert len(calls) == pairs
+
+
 def test_groupoid_rigidity_exhaustive(v1, v2, ab4):
     for inst in (v1, v2, ab4):
         for x in inst.objects():

@@ -2,13 +2,46 @@
 forms: structure typing via order statistics must agree with the
 invariant factors of the presentation lattice."""
 
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 import pytest
 
 from qcat import zmod
+
+
+# -- element-level helpers that only the tests use -------------------------
+
+
+def scale(moduli, k, a):
+    return tuple((k * x) % m for x, m in zip(a, moduli))
+
+
+def closure(moduli, gens):
+    """The subgroup generated by `gens`, by breadth-first sums."""
+    z = zmod.zero(moduli)
+    seen = {z}
+    frontier = [z]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in gens:
+                t = zmod.add(moduli, s, g)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def structure_of(moduli, els, p):
+    """Invariant-factor exponents (nonincreasing) of a subgroup of a
+    p-group, read off from its element orders."""
+    by_order = Counter(zmod.order_exps(moduli, els, p))
+    return zmod.structure_from_killed(list(accumulate(
+        by_order[k] for k in range(max(by_order, default=0) + 1))), p)
 
 
 def snf_structure(moduli, els, p):
@@ -53,7 +86,7 @@ def reference_element_order_exp(moduli, x, p):
     p-group so that the order of x is a power of p."""
     k = 0
     while any(x):
-        x = zmod.scale(moduli, p, x)
+        x = scale(moduli, p, x)
         k += 1
     return k
 
@@ -62,7 +95,7 @@ def reference_basis_of(moduli, els, p):
     """Independent generators realizing structure_of, via backtracking in
     a deterministic element order.  basis[i] has order p^structure[i] and
     the partial spans multiply up exactly."""
-    struct = zmod.structure_of(moduli, els, p)
+    struct = structure_of(moduli, els, p)
     ordered = sorted(els)
     chosen = []
 
@@ -73,7 +106,7 @@ def reference_basis_of(moduli, els, p):
         for x in ordered:
             if reference_element_order_exp(moduli, x, p) != struct[i]:
                 continue
-            bigger = zmod.closure(moduli, list(span) + [x])
+            bigger = closure(moduli, list(span) + [x])
             if len(bigger) != len(span) * want:
                 continue
             chosen.append(x)
@@ -114,7 +147,7 @@ class ReferenceQuotientView:
     def _q_order_exp(self, a):
         k = 0
         while a not in self.kernel:
-            a = self._rep[zmod.scale(self.moduli, self.p, a)]
+            a = self._rep[scale(self.moduli, self.p, a)]
             k += 1
         return k
 
@@ -180,7 +213,7 @@ class ReferenceQuotientView:
         for cs in product(*[range(self.p ** e) for e in self.structure]):
             acc = self._rep[zmod.zero(self.moduli)]
             for c, b in zip(cs, self.basis):
-                acc = self._q_add(acc, self._rep[zmod.scale(self.moduli, c, b)])
+                acc = self._q_add(acc, self._rep[scale(self.moduli, c, b)])
             coords[acc] = cs
         return coords
 
@@ -202,7 +235,7 @@ CASES = [(2, (2, 2, 4)), (2, (4, 4)), (2, (2, 8)), (3, (3, 9)),
 @pytest.mark.parametrize("p,moduli", CASES)
 def test_structure_matches_snf_oracle_on_every_subgroup(p, moduli):
     for sub in zmod.all_subgroups(moduli):
-        assert zmod.structure_of(moduli, sub, p) == \
+        assert structure_of(moduli, sub, p) == \
             snf_structure(moduli, sub, p)
 
 
@@ -220,12 +253,12 @@ def generator_lists(moduli, sub):
 @pytest.mark.parametrize("p,moduli", BASIS_CASES)
 def test_basis_generates_and_realizes_structure(p, moduli):
     for sub in zmod.all_subgroups(moduli):
-        struct = zmod.structure_of(moduli, sub, p)
+        struct = structure_of(moduli, sub, p)
         ref = reference_basis_of(moduli, sub, p)
         ref_orders = tuple(reference_element_order_exp(moduli, b, p)
                            for b in ref)
         assert ref_orders == struct
-        assert zmod.closure(moduli, ref) == sub
+        assert closure(moduli, ref) == sub
         for gens in generator_lists(moduli, sub):
             got, basis = zmod.subgroup_basis(moduli, gens, p)
             assert got == struct
@@ -235,7 +268,7 @@ def test_basis_generates_and_realizes_structure(p, moduli):
             assert all(b == tuple(x % m for x, m in zip(b, moduli))
                        for b in basis)
             # generating a group of order prod(orders) makes them independent
-            assert zmod.closure(moduli, basis) == sub
+            assert closure(moduli, basis) == sub
             assert len(sub) == prod(p ** e for e in orders)
 
 
@@ -248,7 +281,7 @@ def test_subgroup_key_is_canonical(p, moduli):
         seen[key] = sub
         # regenerating from the key rows round-trips
         gens = [tuple(c % m for c, m in zip(row, moduli)) for row in key]
-        regen = zmod.closure(moduli, gens)
+        regen = closure(moduli, gens)
         assert regen == sub
         assert zmod.subgroup_key(moduli, regen) == key
 
@@ -273,7 +306,7 @@ def closure_all_subgroups(moduli):
             for e in els:
                 if e in sub:
                     continue
-                bigger = zmod.closure(moduli, list(sub) + [e])
+                bigger = closure(moduli, list(sub) + [e])
                 if bigger not in found:
                     found.add(bigger)
                     new.append(bigger)
@@ -388,7 +421,7 @@ def test_quotient_view_structures():
              ((2, 4), [(1, 0), (0, 1)], ())]
     for moduli, gens, struct in cases:
         assert zmod.quotient_map(moduli, gens, 2)[0] == struct
-        ref = ReferenceQuotientView(moduli, zmod.closure(moduli, gens), 2)
+        ref = ReferenceQuotientView(moduli, closure(moduli, gens), 2)
         assert ref.structure == struct
 
 
