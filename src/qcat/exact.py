@@ -10,7 +10,9 @@ kernels stay within the bounds, so nothing needs to be excluded).
 Morphisms in the span calculus are graph subgroups: the span
 X <- U -> Y with epi left leg and mono right leg embeds into X + Y, and
 the member set of its image W is the unique representative of the span's
-isomorphism class.  Composition is relation composition of member sets.
+isomorphism class.  Because the right leg is mono, a class is also a
+subgroup V of Y with an epi V ->> X, and `all_spans` enumerates the
+classes that way.  Composition is relation composition of member sets.
 The Hermite key of W (`zmod.subgroup_key`) only orders `all_spans`.
 Kernels, span apexes and pullbacks are built by `Instance._subobject`,
 cokernels and pushouts by `Instance._quotient`.
@@ -337,12 +339,16 @@ def identity_span(inst: Instance, x) -> Span:
 
 def all_spans(inst: Instance, x, y) -> list[Span]:
     """Every span class from x to y, ordered by the Hermite key of W, as
-    a fresh list; the classes are enumerated once per instance and pair."""
+    a fresh list; the classes are enumerated once per instance and pair,
+    as the pairs (V <= y, epi V ->> x), each of which is one class."""
     spans = inst._spans.get((x, y))
     if spans is None:
+        out = []
+        for sub in zmod.all_subgroups(inst.moduli_of(y)):
+            v, rows = inst._subobject(inst.moduli_of(y), sub)
+            m = Mor(v, y, rows)
+            out.extend(span_from_legs(inst, e, m) for e in inst.epis(v, x))
         moduli = _pair_moduli(inst, x, y)
-        out = [Span(x, y, sub) for sub in zmod.all_subgroups(moduli)
-               if _graph_ok(inst, x, y, sub)[0]]
         spans = inst._spans[(x, y)] = tuple(sorted(
             out, key=lambda s: zmod.subgroup_key(moduli, s.members)))
     return list(spans)

@@ -262,15 +262,15 @@ def _nerve_levels(c: FiniteCategory, n: int):
     return strings
 
 
-def _string_counts(c: FiniteCategory, arrows):
+def _string_counts(objects, arrows):
     """Yields, for n = 0, 1, 2, ..., the number of composable strings of
     n arrows drawn from `arrows`, given as (source, target) pairs; level 0
     counts the objects.  `ending[x]` counts the strings of the current
     length that end at x, so each level costs one pass over the arrows."""
-    ending = dict.fromkeys(c.objects, 1)
+    ending = dict.fromkeys(objects, 1)
     while True:
         yield sum(ending.values())
-        nxt = dict.fromkeys(c.objects, 0)
+        nxt = dict.fromkeys(objects, 0)
         for s, t in arrows:
             nxt[t] += ending[s]
         ending = nxt
@@ -286,7 +286,7 @@ def _require_nerve_size(c: FiniteCategory, max_dim: int):
     """Raise GuardError if a nerve level through max_dim would hold more
     than NERVE_LEVEL_LIMIT strings."""
     for n, count in zip(range(max_dim + 1),
-                        _string_counts(c, c.morph.values())):
+                        _string_counts(c.objects, c.morph.values())):
         if count > NERVE_LEVEL_LIMIT:
             raise GuardError(f"nerve: level {n} would hold {count} strings, "
                              f"over the limit of {NERVE_LEVEL_LIMIT}")
@@ -299,7 +299,7 @@ def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
     cap = depth if depth is not None else len(c.morph) + 1
     nonid = [ends for m, ends in c.morph.items() if not c.is_identity(m)]
     complete_at = None
-    for n, count in zip(range(cap + 1), _string_counts(c, nonid)):
+    for n, count in zip(range(cap + 1), _string_counts(c.objects, nonid)):
         if n > 0 and count == 0:
             complete_at = n - 1
             break

@@ -6,13 +6,16 @@ The class group of the instance falls out as the abelianized fundamental
 group of this category's nerve.
 
 Ambigressive diagrams (the triangular grids whose elementary squares are
-all ambigressive pullbacks) are enumerated from scratch here, so the
-spine comparison against composable span strings is a real check and not
-a restatement of the construction.
+all ambigressive pullbacks) are grown from spine strings corner by corner.
+A corner's fillers come from the same span table as the strings, but
+every span class of the corner's pair is tried and the fillers are
+counted, not assumed unique, so the spine comparison against composable
+span strings still checks that each corner has exactly one filler.
 """
 
 from dataclasses import dataclass, field
 
+from . import fincat
 from .errors import GuardError
 from .exact import (
     Instance,
@@ -170,9 +173,17 @@ def check_diagram(inst: Instance, d: AmbigressiveDiagram) -> list[str]:
 
 
 def _spine_strings(inst: Instance, n: int):
-    """Composable strings of n span classes, deterministic order."""
+    """Composable strings of n span classes, deterministic order.  They
+    are level n of the span category's nerve, so each level is counted
+    and held to the nerve's level limit before any string is built."""
     objs = inst.objects()
     spans = {(x, y): all_spans(inst, x, y) for x in objs for y in objs}
+    arrows = [pair for pair, ss in spans.items() for _ in ss]
+    for level, count in zip(range(n + 1), fincat._string_counts(objs, arrows)):
+        if count > fincat.NERVE_LEVEL_LIMIT:
+            raise GuardError(f"segal spine: level {level} would hold {count} "
+                             f"strings, over the limit of "
+                             f"{fincat.NERVE_LEVEL_LIMIT}")
     strings = [((x,), ()) for x in objs]
     for _ in range(n):
         nxt = []
@@ -184,8 +195,7 @@ def _spine_strings(inst: Instance, n: int):
     return strings
 
 
-def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor,
-                    epis_cache, monos_cache, autos_cache):
+def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
     """All fillers X of the elementary square
 
             X --e-->  ne_obj
@@ -193,39 +203,18 @@ def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor,
             v           v
          sw_obj -bottom-> se_obj
 
-    up to an iso of X over both legs.  Because the mono leg cancels
-    isos, distinct (e, m) pairs here are already distinct classes except
-    for automorphisms of X itself, which are searched directly.
-    """
+    up to an iso of X over both legs, as (X, e, m).  Such a class is a
+    span class ne_obj <<- X >-> sw_obj; each one is tried, and it fills
+    the corner when |X| |se_obj| = |ne_obj| |sw_obj| and right(a) =
+    bottom(b) for every member (a, b) of its graph."""
     target = inst.order(ne_obj) * inst.order(sw_obj)
-    found = []
-    for v in inst.objects():
-        if inst.order(v) * inst.order(se_obj) != target:
-            continue
-        v_els = inst.elements(v)
-        monos = [(m, inst.compose(bottom, m))
-                 for m in monos_cache[(v, sw_obj)]]
-        raw = []
-        for e in epis_cache[(v, ne_obj)]:
-            right_e = inst.compose(right, e)
-            for m, bottom_m in monos:
-                if right_e != bottom_m:
-                    continue
-                joint = {(inst.apply(e, u), inst.apply(m, u))
-                         for u in v_els}
-                if len(joint) != len(v_els):
-                    continue
-                raw.append((e, m))
-        seen = set()
-        for e, m in raw:
-            if (e.rows, m.rows) in seen:
-                continue
-            found.append((v, e, m))
-            for phi in autos_cache[v]:
-                e2 = inst.compose(e, phi)
-                m2 = inst.compose(m, phi)
-                seen.add((e2.rows, m2.rows))
-    return found
+    se_order = inst.order(se_obj)
+    right_of = {a: inst.apply(right, a) for a in inst.elements(ne_obj)}
+    bottom_of = {b: inst.apply(bottom, b) for b in inst.elements(sw_obj)}
+    nx = len(inst.moduli_of(ne_obj))
+    return [span_legs(inst, s) for s in all_spans(inst, ne_obj, sw_obj)
+            if len(s.members) * se_order == target
+            and all(right_of[w[:nx]] == bottom_of[w[nx:]] for w in s.members)]
 
 
 def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
@@ -238,11 +227,6 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     if n == 0:
         return [AmbigressiveDiagram(0, {(0, 0): x}, {}, {})
                 for x in inst.objects()]
-
-    objs = inst.objects()
-    epis_cache = {(v, y): inst.epis(v, y) for v in objs for y in objs}
-    monos_cache = {(v, y): inst.monos(v, y) for v in objs for y in objs}
-    autos_cache = {v: inst.isos(v, v) for v in objs}
 
     out = []
     for verts, spine in _spine_strings(inst, n):
@@ -268,8 +252,7 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
                         inst,
                         d.objects[(i, j - 1)], d.objects[(i + 1, j)],
                         d.objects[(i + 1, j - 1)],
-                        d.monos[(i, j - 1)], d.epis[(i + 1, j)],
-                        epis_cache, monos_cache, autos_cache)
+                        d.monos[(i, j - 1)], d.epis[(i + 1, j)])
                     for v, e, m in fillers:
                         d2 = AmbigressiveDiagram(
                             n, dict(d.objects), dict(d.epis), dict(d.monos))

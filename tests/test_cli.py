@@ -133,20 +133,34 @@ def test_malformed_input_exits_two(capsys, argv, needle):
     assert needle in err
 
 
-@pytest.mark.parametrize("probe", ["c0", "c00"])
-def test_zero_order_probe_exits_two(probe):
-    # a fresh process with a timeout, so a parser that loops on order 0
-    # fails this test instead of hanging the suite
+def run_fresh(*argv):
+    """Runs qcat in a fresh process with a timeout, so a command that
+    loops or runs away fails its test instead of hanging the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-m", "qcat", "devissage", "--source", "vect:2:2",
-         "--target", "abp:2:4", "--probes", probe, "--depth", "2"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "qcat", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("probe", ["c0", "c00"])
+def test_zero_order_probe_exits_two(probe):
+    done = run_fresh("devissage", "--source", "vect:2:2", "--target",
+                     "abp:2:4", "--probes", probe, "--depth", "2")
     assert done.returncode == 2
     assert done.stdout == ""
     assert f"{probe!r} is not a nontrivial power of 2" in done.stderr
+
+
+@pytest.mark.parametrize("descriptor,count", [
+    ("abp:2:8", 8831325), ("vect:2:3", 8823588)])
+def test_segal_spine_guard_exits_one_before_building_strings(descriptor,
+                                                            count):
+    done = run_fresh("segal", "--instance", descriptor, "--n", "3")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert (f"segal spine: level 3 would hold {count} strings, "
+            "over the limit of 1000000") in done.stderr
 
 
 @pytest.mark.parametrize("argv,needle", [

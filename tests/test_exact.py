@@ -182,6 +182,33 @@ def test_span_counts_match_orbit_oracle():
                     _orbit_span_count(inst, x, y)
 
 
+def sum_filter_spans(inst, x, y):
+    """The span classes from x to y by the enumeration that the mono-side
+    one replaced: every subgroup of x + y whose graph has a surjective
+    left leg and an injective right leg, in Hermite-key order.  Returns
+    the member sets."""
+    moduli = inst.moduli_of(x) + inst.moduli_of(y)
+    graphs = [sub for sub in zmod.all_subgroups(moduli)
+              if exact._graph_ok(inst, x, y, sub)[0]]
+    return tuple(sorted(graphs, key=lambda sub: zmod.subgroup_key(moduli, sub)))
+
+
+@pytest.mark.parametrize("descriptor",
+                         ["abp:2:4", "abp:3:9", "vect:2:2", "abp:2:8"])
+def test_all_spans_matches_the_sum_filter_oracle(descriptor):
+    inst = parse_instance(descriptor)
+    total = 0
+    for x in inst.objects():
+        for y in inst.objects():
+            got = all_spans(inst, x, y)
+            assert all((s.src, s.dst) == (x, y) for s in got)
+            assert tuple(s.members for s in got) == \
+                sum_filter_spans(inst, x, y)
+            total += len(got)
+    assert total == {"abp:2:4": 28, "abp:3:9": 88, "vect:2:2": 21,
+                     "abp:2:8": 393}[descriptor]
+
+
 def test_f3_line_has_two_self_spans():
     inst = VectInstance(3, 1)
     spans = all_spans(inst, 1, 1)

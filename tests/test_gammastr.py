@@ -10,6 +10,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from qcat import gammastr
 from qcat.fincat import check_axioms
 from qcat.gammastr import (
     BASEPOINT,
@@ -171,6 +172,60 @@ def test_retraction_naturality_exhaustive():
     report = retraction_naturality_report(2)
     assert report.passed
     assert report.checked == 12432
+
+
+def _naturality_by_pairs(max_arity):
+    """The report as it was first written: every pair of singles rebuilds
+    its four retraction sets and its smashed cut action."""
+    singles = [(g, alpha) for s in range(1, max_arity + 1)
+               for t in range(1, max_arity + 1)
+               for g in all_maps(s, t) for alpha in all_maps(1, s)]
+    rset = gammastr.retraction_set
+    failures = []
+    for g, alpha in singles:
+        lhs = rset(g.target_arity, g.compose(alpha))
+        rhs = lam_preimage(gammastr.u_on_maps(g),
+                           rset(g.source_arity, alpha))
+        if lhs != rhs:
+            failures.append((g.values, alpha.values))
+    for (g1, a1), (g2, a2) in iproduct(singles, repeat=2):
+        lhs = smash(rset(g1.target_arity, g1.compose(a1)),
+                    rset(g2.target_arity, g2.compose(a2)))
+        rho = smash(rset(g1.source_arity, a1), rset(g2.source_arity, a2))
+        if lhs != lam_preimage(gammastr.u_power(2, (g1, g2)), rho):
+            failures.append(((g1.values, a1.values), (g2.values, a2.values)))
+    return len(singles) + len(singles) ** 2, tuple(failures)
+
+
+def test_retraction_naturality_builds_each_smashed_action_once(monkeypatch):
+    calls = []
+    real = gammastr.u_power
+
+    def spy(n, gs):
+        calls.append(tuple(gs))
+        return real(n, gs)
+
+    monkeypatch.setattr(gammastr, "u_power", spy)
+    assert retraction_naturality_report(2).checked == 12432
+    maps = [g for s in (1, 2) for t in (1, 2) for g in all_maps(s, t)]
+    # one per ordered pair of the 23 maps, where every pair of the 111
+    # (map, edge) singles used to build its own: 12,321 calls
+    assert len(calls) == len(set(calls)) == len(maps) ** 2 == 529
+
+
+def test_retraction_naturality_reports_failures_in_pair_order(monkeypatch):
+    # a retraction set that loses the cut (0, 1, 1) breaks naturality in
+    # some singles and pairs; the failures and their order are those of
+    # the pair-by-pair report
+    real = gammastr.retraction_set
+
+    def lossy(s, alpha):
+        return real(s, alpha) - {(0, 1, 1)}
+
+    monkeypatch.setattr(gammastr, "retraction_set", lossy)
+    report = retraction_naturality_report(2)
+    assert not report.passed
+    assert (report.checked, report.failures) == _naturality_by_pairs(2)
 
 
 def test_retraction_naturality_through_the_subset_functor():

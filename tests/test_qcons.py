@@ -5,10 +5,16 @@ import json
 
 import pytest
 
-from qcat import qcons, zmod
+from qcat import fincat, qcons, zmod
 from qcat.cli import main
 from qcat.errors import GuardError
-from qcat.exact import AbPInstance, Mor, VectInstance, span_compose
+from qcat.exact import (
+    AbPInstance,
+    Mor,
+    VectInstance,
+    span_compose,
+    span_from_legs,
+)
 from qcat.fincat import nerve
 
 
@@ -225,7 +231,9 @@ SEGAL_CASES = [
     ("vect:2:1", 0, 2), ("vect:2:1", 1, 4), ("vect:2:1", 2, 6),
     ("vect:2:1", 3, 8),
     ("abp:2:4", 0, 4), ("abp:2:4", 1, 28), ("abp:2:4", 2, 154),
-    ("vect:2:2", 2, 131),
+    ("abp:2:4", 3, 852),
+    ("vect:2:2", 2, 131), ("vect:2:2", 3, 793),
+    ("abp:3:9", 2, 3538),
 ]
 
 
@@ -258,6 +266,84 @@ def test_segal_enumerates_the_spans_of_each_pair_once(monkeypatch):
     # the category built from the tabled spans is the pinned one
     assert _digests(qcons.q_category(inst)) == TABLE_DIGESTS["abp:2:4"]
     assert len(calls) == pairs
+
+
+def corner_classes_by_orbit(inst, ne_obj, sw_obj, se_obj, right, bottom,
+                            epis_cache, monos_cache, autos_cache):
+    """The corner fillers by the search that the span table replaced:
+    every epi X ->> ne_obj against every mono X >-> sw_obj on each X of
+    the right order, keeping the commuting, jointly injective pairs, one
+    per orbit of the automorphisms of X.  Returns (X, e, m) triples."""
+    target = inst.order(ne_obj) * inst.order(sw_obj)
+    found = []
+    for v in inst.objects():
+        if inst.order(v) * inst.order(se_obj) != target:
+            continue
+        v_els = inst.elements(v)
+        monos = [(m, inst.compose(bottom, m))
+                 for m in monos_cache[(v, sw_obj)]]
+        raw = []
+        for e in epis_cache[(v, ne_obj)]:
+            right_e = inst.compose(right, e)
+            for m, bottom_m in monos:
+                if right_e != bottom_m:
+                    continue
+                joint = {(inst.apply(e, u), inst.apply(m, u))
+                         for u in v_els}
+                if len(joint) == len(v_els):
+                    raw.append((e, m))
+        seen = set()
+        for e, m in raw:
+            if (e.rows, m.rows) in seen:
+                continue
+            found.append((v, e, m))
+            for phi in autos_cache[v]:
+                seen.add((inst.compose(e, phi).rows,
+                          inst.compose(m, phi).rows))
+    return found
+
+
+# one corner per string at n = 2 and three at n = 3, as each corner of a
+# spine string has one filler
+@pytest.mark.parametrize("desc,n,corners", [
+    ("abp:2:4", 2, 154), ("abp:2:4", 3, 3 * 852), ("vect:2:2", 3, 3 * 793)])
+def test_corner_fillers_match_the_orbit_search_oracle(monkeypatch, desc, n,
+                                                      corners):
+    from qcat.exact import parse_instance
+
+    inst = parse_instance(desc)
+    objs = inst.objects()
+    caches = ({(v, y): inst.epis(v, y) for v in objs for y in objs},
+              {(v, y): inst.monos(v, y) for v in objs for y in objs},
+              {v: inst.isos(v, v) for v in objs})
+    real = qcons._corner_classes
+    filled = []
+
+    def checked(inst_, *corner):
+        got = real(inst_, *corner)
+        want = corner_classes_by_orbit(inst_, *corner, *caches)
+        classes = [span_from_legs(inst, e, m) for _, e, m in got]
+        assert len(set(classes)) == len(got) == len(want)
+        assert set(classes) == {span_from_legs(inst, e, m)
+                                for _, e, m in want}
+        filled.append(len(got))
+        return got
+
+    monkeypatch.setattr(qcons, "_corner_classes", checked)
+    assert qcons.segal_spine_check(inst, n).passed
+    assert len(filled) == corners
+    # the filler of a corner is its pullback, found once
+    assert set(filled) == {1}
+
+
+def test_segal_spine_guard_reads_the_nerve_level_limit(monkeypatch, ab4):
+    # level 2 of the spine of Q(abp:2:4) holds 154 strings
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 154)
+    assert qcons.segal_spine_check(ab4, 2).composable_strings == 154
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 153)
+    with pytest.raises(GuardError, match="segal spine: level 2 would hold "
+                                         "154 strings, over the limit of 153"):
+        qcons.segal_spine_check(ab4, 2)
 
 
 def test_groupoid_rigidity_exhaustive(v1, v2, ab4):
