@@ -7,10 +7,13 @@ are data, not errors), 1 when a construction guard trips, 2 for
 malformed input, with a message naming where the problem sits.
 
 Each handler imports its own layer (`delta`, `fincat`, `qcons`,
-`deviss`, `gammastr`) when it runs.  Every command is a fresh process,
-and building those modules' classes costs more start-up time than
-`homology` or `pi1` spends computing, so only the input parsers and
-the shared `exact` instances load with this module.
+`deviss`, `gammastr`) when it runs.  Every command is a fresh process
+that pays for each module it loads, and `homology` or `pi1` on a small
+input spends less time computing than starting up, so only the input
+parsers and the shared `exact` instances load with this module.  For
+the same reason the package's value classes are plain `__slots__`
+classes: the standard library's class decorator would load `inspect`
+and exec generated code for every class.
 """
 
 import argparse

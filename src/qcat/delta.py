@@ -12,8 +12,6 @@ kept alongside as a decidable negative control for the subdivision test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from . import parallel
 from .ordmaps import DeltaMap
 from .simpset import (
@@ -30,16 +28,27 @@ from .simpset import (
 VALID_TOKENS = ("id", "op")
 
 
-@dataclass(frozen=True)
 class JoinWord:
-    tokens: tuple[str, ...]
+    __slots__ = ("tokens",)
 
-    def __post_init__(self):
-        if not self.tokens:
+    def __init__(self, tokens: tuple[str, ...]):
+        if not tokens:
             raise ValueError("join words are nonempty")
-        for t in self.tokens:
+        for t in tokens:
             if t not in VALID_TOKENS:
                 raise ValueError(f"unknown token {t!r}")
+        self.tokens = tokens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tokens == other.tokens
+
+    def __hash__(self):
+        return hash((self.tokens,))
+
+    def __repr__(self):
+        return f"JoinWord(tokens={self.tokens!r})"
 
     def apply_object(self, n: int) -> int:
         return len(self.tokens) * (n + 1) - 1
@@ -60,15 +69,26 @@ class JoinWord:
         return ",".join(self.tokens)
 
 
-@dataclass(frozen=True)
 class ConstWord:
     """The functor collapsing everything onto [k]."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int):
+        if k < 0:
             raise ValueError("Const needs k >= 0")
+        self.k = k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self):
+        return hash((self.k,))
+
+    def __repr__(self):
+        return f"ConstWord(k={self.k!r})"
 
     def apply_object(self, n: int) -> int:
         return self.k
@@ -137,7 +157,8 @@ def edgewise_structure_map(x: SimplicialSet, depth: int) -> SimplicialMap:
     """
     src = pullback_model(EDGEWISE, x, depth).compile()
     model = product_model(x.opposite(), x)
-    prod = replace(model, max_dim=max(model.max_dim, depth)).compile()
+    prod = LevelModel(model.levels, model.act, max(model.max_dim, depth),
+                      model.truncation).compile()
 
     def push(token, n):  # token is a value of x in dimension 2n+1
         into_op = DeltaMap(n, 2 * n + 1, tuple(range(n + 1)))
@@ -148,13 +169,18 @@ def edgewise_structure_map(x: SimplicialSet, depth: int) -> SimplicialMap:
     return src.map_to(prod, push)
 
 
-@dataclass(frozen=True)
 class SubdivisionVerdict:
-    status: str  # "subdivision" | "not_subdivision" | "inconclusive"
-    m_max: int
-    depth: int
-    per_m: tuple[tuple[int, Contractibility], ...]
-    witness_m: int | None = None
+    __slots__ = ("status", "m_max", "depth", "per_m", "witness_m")
+
+    def __init__(self, status: str, m_max: int, depth: int,
+                 per_m: tuple[tuple[int, Contractibility], ...],
+                 witness_m: int | None = None):
+        # "subdivision" | "not_subdivision" | "inconclusive"
+        self.status = status
+        self.m_max = m_max
+        self.depth = depth
+        self.per_m = per_m
+        self.witness_m = witness_m
 
     def certificate(self, m: int) -> Contractibility:
         return dict(self.per_m)[m]

@@ -10,8 +10,6 @@ filtration argument; whether the bounded slices are actually
 contractible is recorded, never presumed.
 """
 
-from dataclasses import dataclass
-
 from .errors import GuardError
 from .exact import (
     Instance,
@@ -140,13 +138,19 @@ def q_functor(psi: ExactEmbedding):
 # -- torsion filtrations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class AdmissibleFiltration:
-    target_object: object
-    stage_objects: tuple          # 0 = X_0, ..., X_m = X
-    inclusions: tuple             # X_{i-1} >-> X_i
-    quotient_objects: tuple       # X_i / X_{i-1}
-    witnesses: tuple              # source objects U_i, psi U_i = X_i / X_{i-1}
+    __slots__ = ("target_object", "stage_objects", "inclusions",
+                 "quotient_objects", "witnesses")
+
+    def __init__(self, target_object, stage_objects: tuple,
+                 inclusions: tuple, quotient_objects: tuple,
+                 witnesses: tuple):
+        self.target_object = target_object
+        self.stage_objects = stage_objects        # 0 = X_0, ..., X_m = X
+        self.inclusions = inclusions              # X_{i-1} >-> X_i
+        self.quotient_objects = quotient_objects  # X_i / X_{i-1}
+        # source objects U_i with psi U_i = X_i / X_{i-1}
+        self.witnesses = witnesses
 
     @property
     def length(self) -> int:
@@ -228,29 +232,39 @@ def comma_over(fun: FunctorData, x, depth: int) -> SimplicialSet:
     return nerve(comma(fun, x), depth)
 
 
-@dataclass(frozen=True)
 class ProbeReport:
-    probe: str
-    certificate: Contractibility
-    homology: tuple
+    __slots__ = ("probe", "certificate", "homology")
+
+    def __init__(self, probe: str, certificate: Contractibility,
+                 homology: tuple):
+        self.probe = probe
+        self.certificate = certificate
+        self.homology = homology
 
 
-@dataclass(frozen=True)
 class StageComparison:
-    probe: str
-    lower: str
-    upper: str
-    equal: bool
-    lower_homology: tuple
-    upper_homology: tuple
+    __slots__ = ("probe", "lower", "upper", "equal", "lower_homology",
+                 "upper_homology")
+
+    def __init__(self, probe: str, lower: str, upper: str, equal: bool,
+                 lower_homology: tuple, upper_homology: tuple):
+        self.probe = probe
+        self.lower = lower
+        self.upper = upper
+        self.equal = equal
+        self.lower_homology = lower_homology
+        self.upper_homology = upper_homology
 
 
-@dataclass(frozen=True)
 class DevissageCertificate:
-    embedding: str
-    depth: int
-    probes: tuple          # ProbeReport
-    stages: tuple          # StageComparison
+    __slots__ = ("embedding", "depth", "probes", "stages")
+
+    def __init__(self, embedding: str, depth: int, probes: tuple,
+                 stages: tuple):
+        self.embedding = embedding
+        self.depth = depth
+        self.probes = probes        # ProbeReport
+        self.stages = stages        # StageComparison
 
     @property
     def stages_consistent(self) -> bool:

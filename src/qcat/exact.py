@@ -20,17 +20,26 @@ cokernels and pushouts by `Instance._quotient`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import zmod
 from .errors import GuardError
 
 
-@dataclass(frozen=True)
 class Mor:
-    src: object
-    dst: object
-    rows: tuple
+    __slots__ = ("src", "dst", "rows")
+
+    def __init__(self, src, dst, rows: tuple):
+        self.src = src
+        self.dst = dst
+        self.rows = rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.src, self.dst, self.rows)
+                == (other.src, other.dst, other.rows))
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.rows))
 
     def __repr__(self):
         return f"Mor({self.src!r}->{self.dst!r}, {self.rows!r})"
@@ -41,8 +50,9 @@ class Instance:
     of structure tuples back to objects.  `_subobject` and `_quotient`
     are its one subgroup routine and its one quotient routine.
 
-    Element tuples, the span classes of each pair of objects and each
-    span's legs are memoized on the instance.
+    Element tuples, the subgroup inclusions into each object, the span
+    classes of each pair of objects and each span's legs are memoized on
+    the instance.
     An object is only a typing value whose group depends on the instance
     (the object (1,) is Z/2 in abp:2:4 and Z/3 in abp:3:9), so these
     tables must never be shared between instances.
@@ -52,6 +62,7 @@ class Instance:
 
     def __init__(self):
         self._elements = {}       # object -> tuple of its elements
+        self._subobjects = {}     # y -> [inclusion V >-> y per subgroup]
         self._spans = {}          # (x, y) -> tuple of all_spans(x, y)
         self._span_legs = {}      # Span -> (w, e: w ->> src, m: w >-> dst)
 
@@ -271,15 +282,26 @@ class AbPInstance(Instance):
 # -- spans ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Span:
     """A morphism of the span category: the member set of the graph
     subgroup W of src + dst, which is its own canonical form.  The left
     leg W -> src is an admissible epi, and W meets src + 0 trivially
     (right leg mono)."""
-    src: object
-    dst: object
-    members: frozenset
+    __slots__ = ("src", "dst", "members")
+
+    def __init__(self, src, dst, members: frozenset):
+        self.src = src
+        self.dst = dst
+        self.members = members
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.src, self.dst, self.members)
+                == (other.src, other.dst, other.members))
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.members))
 
     def __repr__(self):
         return f"Span({self.src!r}->{self.dst!r}, {sorted(self.members)!r})"
@@ -340,14 +362,21 @@ def identity_span(inst: Instance, x) -> Span:
 def all_spans(inst: Instance, x, y) -> list[Span]:
     """Every span class from x to y, ordered by the Hermite key of W, as
     a fresh list; the classes are enumerated once per instance and pair,
-    as the pairs (V <= y, epi V ->> x), each of which is one class."""
+    as the pairs (V <= y, epi V ->> x), each of which is one class, and
+    the inclusions V >-> y once per instance and y."""
     spans = inst._spans.get((x, y))
     if spans is None:
+        incls = inst._subobjects.get(y)
+        if incls is None:
+            moduli = inst.moduli_of(y)
+            incls = []
+            for sub in zmod.all_subgroups(moduli):
+                v, rows = inst._subobject(moduli, sub)
+                incls.append(Mor(v, y, rows))
+            inst._subobjects[y] = incls
         out = []
-        for sub in zmod.all_subgroups(inst.moduli_of(y)):
-            v, rows = inst._subobject(inst.moduli_of(y), sub)
-            m = Mor(v, y, rows)
-            out.extend(span_from_legs(inst, e, m) for e in inst.epis(v, x))
+        for m in incls:
+            out.extend(span_from_legs(inst, e, m) for e in inst.epis(m.src, x))
         moduli = _pair_moduli(inst, x, y)
         spans = inst._spans[(x, y)] = tuple(sorted(
             out, key=lambda s: zmod.subgroup_key(moduli, s.members)))
@@ -371,7 +400,6 @@ def span_compose(inst: Instance, t: Span, s: Span) -> Span:
 # -- ambigressive squares ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Square:
     """A commuting square:  nw --top--> ne
                             |           |
@@ -379,10 +407,26 @@ class Square:
                             v           v
                             sw -bottom-> se
     """
-    top: Mor
-    left: Mor
-    right: Mor
-    bottom: Mor
+    __slots__ = ("top", "left", "right", "bottom")
+
+    def __init__(self, top: Mor, left: Mor, right: Mor, bottom: Mor):
+        self.top = top
+        self.left = left
+        self.right = right
+        self.bottom = bottom
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.top, self.left, self.right, self.bottom)
+                == (other.top, other.left, other.right, other.bottom))
+
+    def __hash__(self):
+        return hash((self.top, self.left, self.right, self.bottom))
+
+    def __repr__(self):
+        return (f"Square(top={self.top!r}, left={self.left!r}, "
+                f"right={self.right!r}, bottom={self.bottom!r})")
 
     @property
     def nw(self):
@@ -522,11 +566,28 @@ def exact_sequence_squares(inst: Instance) -> list[Square]:
 # -- triple structure verification ------------------------------------------
 
 
-@dataclass(frozen=True)
 class TripleReport:
-    passed: bool
-    squares_checked: int
-    failures: tuple[str, ...]
+    __slots__ = ("passed", "squares_checked", "failures")
+
+    def __init__(self, passed: bool, squares_checked: int,
+                 failures: tuple[str, ...]):
+        self.passed = passed
+        self.squares_checked = squares_checked
+        self.failures = failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.passed, self.squares_checked, self.failures)
+                == (other.passed, other.squares_checked, other.failures))
+
+    def __hash__(self):
+        return hash((self.passed, self.squares_checked, self.failures))
+
+    def __repr__(self):
+        return (f"TripleReport(passed={self.passed!r}, "
+                f"squares_checked={self.squares_checked!r}, "
+                f"failures={self.failures!r})")
 
 
 def verify_triple(inst: Instance) -> TripleReport:

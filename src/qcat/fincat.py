@@ -9,8 +9,6 @@ set it returns is complete; otherwise a truncation depth is required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .errors import GuardError
 from .ordmaps import DeltaMap
 from .simpset import LevelModel, SimplicialMap, SimplicialSet
@@ -168,14 +166,15 @@ def product_category(c: FiniteCategory, d: FiniteCategory) -> FiniteCategory:
     return FiniteCategory(objects, morph, identity, table)
 
 
-@dataclass
 class FunctorData:
-    source: FiniteCategory
-    target: FiniteCategory
-    on_objects: dict
-    on_morphisms: dict
+    __slots__ = ("source", "target", "on_objects", "on_morphisms")
 
-    def __post_init__(self):
+    def __init__(self, source: FiniteCategory, target: FiniteCategory,
+                 on_objects: dict, on_morphisms: dict):
+        self.source = source
+        self.target = target
+        self.on_objects = on_objects
+        self.on_morphisms = on_morphisms
         problems = self.check()
         if problems:
             raise ValueError("; ".join(problems[:3]))
@@ -331,7 +330,8 @@ def nerve_map(fun: FunctorData, depth: int | None = None) -> SimplicialMap:
     # the target model must be compiled at least as deep as the source
     if dst_model.max_dim < src_model.max_dim:
         _require_nerve_size(fun.target, src_model.max_dim)
-        dst_model = replace(dst_model, max_dim=src_model.max_dim)
+        dst_model = LevelModel(dst_model.levels, dst_model.act,
+                               src_model.max_dim, dst_model.truncation)
 
     def push(token, n):
         if n == 0:

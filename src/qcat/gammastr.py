@@ -7,7 +7,6 @@ maps, retraction sets, and the subset categories with their restriction
 functors.  Everything is small enough to verify exhaustively.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
 from .fincat import FiniteCategory, FunctorData
@@ -24,23 +23,36 @@ class _Basepoint:
 BASEPOINT = _Basepoint()
 
 
-@dataclass(frozen=True)
 class LambdaMorphism:
     """A map source -> target + basepoint, the arrows of the category of
     finite sets with partial basepointed maps."""
 
-    source: frozenset
-    target: frozenset
-    pairs: tuple
+    __slots__ = ("source", "target", "pairs", "_assign")
 
-    def __post_init__(self):
-        assign = dict(self.pairs)
-        if set(assign) != set(self.source):
+    def __init__(self, source: frozenset, target: frozenset, pairs: tuple):
+        assign = dict(pairs)
+        if set(assign) != set(source):
             raise ValueError("assignment does not cover the source set")
         for v in assign.values():
-            if v is not BASEPOINT and v not in self.target:
+            if v is not BASEPOINT and v not in target:
                 raise ValueError(f"image {v!r} is outside the target set")
-        object.__setattr__(self, "_assign", assign)
+        self.source = source
+        self.target = target
+        self.pairs = pairs
+        self._assign = assign
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.pairs)
+                == (other.source, other.target, other.pairs))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.pairs))
+
+    def __repr__(self):
+        return (f"LambdaMorphism(source={self.source!r}, "
+                f"target={self.target!r}, pairs={self.pairs!r})")
 
     def __call__(self, j):
         return self._assign[j]
@@ -227,10 +239,12 @@ def L_restriction(phi: LambdaMorphism) -> FunctorData:
 # -- exhaustive checks ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    checked: int
-    failures: tuple
+    __slots__ = ("checked", "failures")
+
+    def __init__(self, checked: int, failures: tuple):
+        self.checked = checked
+        self.failures = failures
 
     @property
     def passed(self) -> bool:

@@ -9,28 +9,41 @@ on formal (degeneracy word, cell) values with nothing but face records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 
-@dataclass(frozen=True)
 class DeltaMap:
     """A monotone map [source_arity] -> [target_arity], stored by its images."""
 
-    source_arity: int
-    target_arity: int
-    values: tuple[int, ...]
+    __slots__ = ("source_arity", "target_arity", "values")
 
-    def __post_init__(self):
-        if self.source_arity < 0 or self.target_arity < 0:
+    def __init__(self, source_arity: int, target_arity: int,
+                 values: tuple[int, ...]):
+        if source_arity < 0 or target_arity < 0:
             raise ValueError("ordinals [n] need n >= 0")
-        if len(self.values) != self.source_arity + 1:
+        if len(values) != source_arity + 1:
             raise ValueError("value tuple does not match source arity")
         prev = 0
-        for v in self.values:
-            if v < prev or v > self.target_arity:
-                raise ValueError(f"not a monotone map into [{self.target_arity}]: {self.values}")
+        for v in values:
+            if v < prev or v > target_arity:
+                raise ValueError(f"not a monotone map into [{target_arity}]: {values}")
             prev = v
+        self.source_arity = source_arity
+        self.target_arity = target_arity
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source_arity, self.target_arity, self.values)
+                == (other.source_arity, other.target_arity, other.values))
+
+    def __hash__(self):
+        return hash((self.source_arity, self.target_arity, self.values))
+
+    def __repr__(self):
+        return (f"DeltaMap(source_arity={self.source_arity!r}, "
+                f"target_arity={self.target_arity!r}, values={self.values!r})")
 
     def __call__(self, i: int) -> int:
         return self.values[i]

@@ -14,7 +14,6 @@ generator, so its cost follows those relators, not the whole presentation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .snf import smith_diagonal, torsion_from_diagonal
 
@@ -69,21 +68,35 @@ def _cyclic_key(word: Word):
     return best
 
 
-@dataclass(frozen=True)
 class GroupPresentation:
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[Word, ...]):
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generators")
-        known = set(self.generators)
-        for rel in self.relators:
+        known = set(generators)
+        for rel in relators:
             for gen, exp in rel:
                 if gen not in known:
                     raise ValueError(f"relator mentions unknown generator {gen!r}")
                 if exp not in (1, -1):
                     raise ValueError("letters carry exponent +1 or -1")
+        self.generators = generators
+        self.relators = relators
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.generators, self.relators)
+                == (other.generators, other.relators))
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
+
+    def __repr__(self):
+        return (f"GroupPresentation(generators={self.generators!r}, "
+                f"relators={self.relators!r})")
 
     @staticmethod
     def build(generators, relators) -> "GroupPresentation":

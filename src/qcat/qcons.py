@@ -13,8 +13,6 @@ counted, not assumed unique, so the spine comparison against composable
 span strings still checks that each corner has exactly one filler.
 """
 
-from dataclasses import dataclass, field
-
 from . import fincat
 from .errors import GuardError
 from .exact import (
@@ -33,12 +31,30 @@ from .fincat import FiniteCategory, nerve, require_category
 from .presentation import GroupPresentation, abelian_label
 
 
-@dataclass(frozen=True)
 class QCategory:
-    instance: Instance
-    category: FiniteCategory
-    span_of: dict = field(compare=False)    # morphism name -> Span
-    name_of: dict = field(compare=False)    # Span -> morphism name
+    __slots__ = ("instance", "category", "span_of", "name_of")
+
+    def __init__(self, instance: Instance, category: FiniteCategory,
+                 span_of: dict, name_of: dict):
+        self.instance = instance
+        self.category = category
+        self.span_of = span_of      # morphism name -> Span
+        self.name_of = name_of      # Span -> morphism name
+
+    # the span tables are derived from the instance, so equality skips them
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.instance, self.category)
+                == (other.instance, other.category))
+
+    def __hash__(self):
+        return hash((self.instance, self.category))
+
+    def __repr__(self):
+        return (f"QCategory(instance={self.instance!r}, "
+                f"category={self.category!r}, span_of={self.span_of!r}, "
+                f"name_of={self.name_of!r})")
 
 
 def q_category(inst: Instance, verify: bool = True) -> QCategory:
@@ -78,14 +94,20 @@ def q_category(inst: Instance, verify: bool = True) -> QCategory:
     return QCategory(inst, cat, span_of, name_of)
 
 
-@dataclass(frozen=True)
 class K0Report:
-    instance: str
-    depth: int | None
-    raw_presentation: GroupPresentation
-    presentation: GroupPresentation
-    betti: int
-    torsion: tuple[int, ...]
+    __slots__ = ("instance", "depth", "raw_presentation", "presentation",
+                 "betti", "torsion")
+
+    def __init__(self, instance: str, depth: int | None,
+                 raw_presentation: GroupPresentation,
+                 presentation: GroupPresentation, betti: int,
+                 torsion: tuple[int, ...]):
+        self.instance = instance
+        self.depth = depth
+        self.raw_presentation = raw_presentation
+        self.presentation = presentation
+        self.betti = betti
+        self.torsion = torsion
 
     @property
     def label(self) -> str:
@@ -116,7 +138,6 @@ def k0(inst: Instance, depth: int | None = None) -> K0Report:
 # -- ambigressive diagrams ---------------------------------------------------
 
 
-@dataclass
 class AmbigressiveDiagram:
     """Triangular grid X_ij (0 <= i <= j <= n).
 
@@ -124,10 +145,13 @@ class AmbigressiveDiagram:
     `monos[(i, j)]` the ingressive step X_ij >-> X_i+1,j; longer
     structure maps are composites of these.
     """
-    n: int
-    objects: dict
-    epis: dict
-    monos: dict
+    __slots__ = ("n", "objects", "epis", "monos")
+
+    def __init__(self, n: int, objects: dict, epis: dict, monos: dict):
+        self.n = n
+        self.objects = objects
+        self.epis = epis
+        self.monos = monos
 
     def egressive_to(self, inst: Instance, i: int, j: int, l: int) -> Mor:
         f = inst.identity(self.objects[(i, j)])
@@ -265,11 +289,13 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     return out
 
 
-@dataclass(frozen=True)
 class SegalReport:
-    n: int
-    diagram_classes: int
-    composable_strings: int
+    __slots__ = ("n", "diagram_classes", "composable_strings")
+
+    def __init__(self, n: int, diagram_classes: int, composable_strings: int):
+        self.n = n
+        self.diagram_classes = diagram_classes
+        self.composable_strings = composable_strings
 
     @property
     def passed(self) -> bool:
@@ -287,12 +313,15 @@ def segal_spine_check(inst: Instance, n: int) -> SegalReport:
 # -- the leg-compatible iso groupoid -----------------------------------------
 
 
-@dataclass(frozen=True)
 class RigidityReport:
-    objects: int
-    components: int
-    passed: bool
-    failures: tuple[str, ...]
+    __slots__ = ("objects", "components", "passed", "failures")
+
+    def __init__(self, objects: int, components: int, passed: bool,
+                 failures: tuple[str, ...]):
+        self.objects = objects
+        self.components = components
+        self.passed = passed
+        self.failures = failures
 
 
 def groupoid_rigidity(inst: Instance, x, y) -> RigidityReport:

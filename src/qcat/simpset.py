@@ -15,7 +15,6 @@ above T were never enumerated, so degree-sensitive reports stop below T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .ordmaps import DeltaMap
@@ -170,10 +169,27 @@ class SimplicialSet:
         The elementary face and degeneracy steps of f are worked out once,
         here, so the returned function can be applied to many values.  It
         raises ValueError on a value that is not b-dimensional.
+
+        A surjection only adds degeneracies, so its word is built in one
+        go: i is a letter of f^*(s_w x) when f(i) = f(i + 1), or when i
+        is the last preimage of a letter of w.
         """
+        b = f.target_arity
+        if f.is_surjective():
+            doubles = set(f.doubles())
+            last = {v: i for i, v in enumerate(f.values)}
+
+            def degenerate(value) -> Value:
+                word, x = value
+                if len(word) + self.dims[x] != b:
+                    raise ValueError("value dimension does not match the map")
+                return (tuple(sorted(doubles.union([last[j] for j in word]),
+                                     reverse=True)), x)
+
+            return degenerate
+
         steps = [(self.face if kind == "d" else self.degeneracy, idx)
                  for kind, idx in f.elementary_ops()]
-        b = f.target_arity
 
         def apply(value) -> Value:
             if self.dim_of(value) != b:
@@ -388,7 +404,6 @@ class SimplicialSet:
         return self.pi1_presentation().simplified()
 
 
-@dataclass(frozen=True)
 class Contractibility:
     """Outcome of the finite contractibility test.
 
@@ -399,9 +414,25 @@ class Contractibility:
     simplification without a visible obstruction).
     """
 
-    status: str
-    depth: int | None
-    reason: str
+    __slots__ = ("status", "depth", "reason")
+
+    def __init__(self, status: str, depth: int | None, reason: str):
+        self.status = status
+        self.depth = depth
+        self.reason = reason
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.status, self.depth, self.reason)
+                == (other.status, other.depth, other.reason))
+
+    def __hash__(self):
+        return hash((self.status, self.depth, self.reason))
+
+    def __repr__(self):
+        return (f"Contractibility(status={self.status!r}, "
+                f"depth={self.depth!r}, reason={self.reason!r})")
 
     def certified(self) -> bool:
         return self.status == "contractible_up_to"
@@ -448,7 +479,6 @@ def contractibility(space: SimplicialSet, depth: int,
 # -- level-model compiler ----------------------------------------------
 
 
-@dataclass
 class LevelModel:
     """A simplicial set described one level at a time.
 
@@ -462,10 +492,14 @@ class LevelModel:
     over values.
     """
 
-    levels: object
-    act: object
-    max_dim: int
-    truncation: int | None = None
+    __slots__ = ("levels", "act", "max_dim", "truncation")
+
+    def __init__(self, levels, act, max_dim: int,
+                 truncation: int | None = None):
+        self.levels = levels
+        self.act = act
+        self.max_dim = max_dim
+        self.truncation = truncation
 
     def compile(self) -> "CompiledLevelModel":
         tokens = {n: list(self.levels(n)) for n in range(self.max_dim + 1)}
@@ -523,15 +557,18 @@ def _resolve(mark, ids, n, t) -> Value:
     return (compose_words(word, ()), ids[(n, t)])
 
 
-@dataclass
 class CompiledLevelModel:
     """`map_to(other, push)` is the simplicial map into `other` sending
     the simplex with token t at level n to the value of token push(t, n)."""
-    space: SimplicialSet
-    tokens: dict
-    mark: dict
-    ids: dict
-    token_of: dict
+    __slots__ = ("space", "tokens", "mark", "ids", "token_of")
+
+    def __init__(self, space: SimplicialSet, tokens: dict, mark: dict,
+                 ids: dict, token_of: dict):
+        self.space = space
+        self.tokens = tokens
+        self.mark = mark
+        self.ids = ids
+        self.token_of = token_of
 
     def map_to(self, other: "CompiledLevelModel", push) -> "SimplicialMap":
         return SimplicialMap(self.space, other.space, {

@@ -55,16 +55,21 @@ def test_cli_import_skips_thread_pool_and_logging():
 SPAN_STACK = {"delta", "deviss", "fincat", "gammastr", "qcons"}
 
 
-def _qcat_modules_imported(*args) -> set:
-    """The `qcat` submodules a fresh `python -X importtime ARGS` imports,
-    read off the import-time lines on its stderr."""
+def _modules_imported(*args) -> set:
+    """The modules a fresh `python -X importtime ARGS` imports, read off
+    the import-time lines on its stderr."""
     done = subprocess.run([sys.executable, "-X", "importtime", *args],
                           cwd=SRC.parent.parent, env=_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in
-             done.stderr.splitlines() if line.startswith("import time:")}
-    return {n[len("qcat."):] for n in names if n.startswith("qcat.")}
+    return {line.rsplit("|", 1)[1].strip() for line in
+            done.stderr.splitlines() if line.startswith("import time:")}
+
+
+def _qcat_modules_imported(*args) -> set:
+    """The `qcat` submodules among `_modules_imported(*args)`."""
+    return {n[len("qcat."):] for n in _modules_imported(*args)
+            if n.startswith("qcat.")}
 
 
 @pytest.mark.parametrize("args", [
@@ -83,3 +88,45 @@ def test_check_instance_loads_only_the_instance_layer():
         "-m", "qcat", "check-instance", "--instance", "abp:2:4")
     assert "exact" in loaded
     assert loaded & SPAN_STACK == set()
+
+
+# `dataclasses` imports `inspect` (and with it `ast`, `dis` and
+# `tokenize`), and each decorated class execs generated code: together
+# more than half of what importing qcat.cli cost, paid by every command
+STARTUP_FREE = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import qcat.cli"],
+    ["-m", "qcat", "homology", "--in", "fixtures/rp2.sset"],
+    ["-m", "qcat", "pi1", "--in", "fixtures/rp2.sset"],
+    ["-m", "qcat", "check-instance", "--instance", "abp:2:4"],
+    ["-m", "qcat", "k0", "--instance", "abp:2:4", "--depth", "2"],
+    ["-m", "qcat", "segal", "--instance", "abp:2:4", "--n", "1"],
+    ["-m", "qcat", "subdivide", "--word", "op,id", "--mmax", "1",
+     "--depth", "2"],
+    ["-m", "qcat", "twisted", "--in", "fixtures/poset3.cat", "--depth", "2"],
+    ["-m", "qcat", "devissage", "--source", "vect:2:1", "--target",
+     "abp:2:2", "--probes", "c2", "--depth", "2"],
+    ["-m", "qcat", "gamma", "--check", "u-functoriality",
+     "--max-arity", "1"],
+], ids=["import", "homology", "pi1", "check-instance", "k0", "segal",
+        "subdivide", "twisted", "devissage", "gamma"])
+def test_no_command_imports_dataclasses(args):
+    assert _modules_imported(*args) & STARTUP_FREE == set()
+
+
+def test_no_src_module_imports_dataclasses():
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []

@@ -258,6 +258,34 @@ def test_action_rejects_a_value_of_the_wrong_dimension(rp2):
         apply(edge)
 
 
+def per_letter_action(space, f: DeltaMap, value):
+    """f's action by its elementary steps, one degeneracy letter at a
+    time: the path that `action` keeps for maps that are not onto."""
+    for kind, idx in f.elementary_ops():
+        value = space.face(value, idx) if kind == "d" else \
+            space.degeneracy(value, idx)
+    return value
+
+
+def test_surjection_action_matches_the_per_letter_oracle():
+    space = standard_simplex(3)
+    pairs = 0
+    for a in range(6):
+        for b in range(a + 1):
+            for f in all_maps(a, b):
+                if not f.is_surjective():
+                    continue
+                apply = space.action(f)
+                for v in space.values(b):
+                    assert apply(v) == per_letter_action(space, f, v), (f, v)
+                    pairs += 1
+                if b > 0:
+                    with pytest.raises(ValueError,
+                                       match="value dimension does not"):
+                        apply(space.values(b - 1)[0])
+    assert pairs == 1519
+
+
 # -- the level-model compiler against the per-token one it replaced --------
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
