@@ -12,8 +12,9 @@ that pays for each module it loads, and `homology` or `pi1` on a small
 input spends less time computing than starting up, so only the input
 parsers and the shared `exact` instances load with this module.  For
 the same reason the package's value classes are plain `__slots__`
-classes: the standard library's class decorator would load `inspect`
-and exec generated code for every class.
+classes that take `__eq__`, `__hash__` and `__repr__` from
+`record.Record`: the standard library's class decorator would load
+`inspect` and exec generated code for every class.
 """
 
 import argparse

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from . import parallel
 from .ordmaps import DeltaMap
+from .record import Record
 from .simpset import (
     Contractibility,
     LevelModel,
@@ -28,7 +29,7 @@ from .simpset import (
 VALID_TOKENS = ("id", "op")
 
 
-class JoinWord:
+class JoinWord(Record):
     __slots__ = ("tokens",)
 
     def __init__(self, tokens: tuple[str, ...]):
@@ -38,17 +39,6 @@ class JoinWord:
             if t not in VALID_TOKENS:
                 raise ValueError(f"unknown token {t!r}")
         self.tokens = tokens
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tokens == other.tokens
-
-    def __hash__(self):
-        return hash((self.tokens,))
-
-    def __repr__(self):
-        return f"JoinWord(tokens={self.tokens!r})"
 
     def apply_object(self, n: int) -> int:
         return len(self.tokens) * (n + 1) - 1
@@ -69,7 +59,7 @@ class JoinWord:
         return ",".join(self.tokens)
 
 
-class ConstWord:
+class ConstWord(Record):
     """The functor collapsing everything onto [k]."""
 
     __slots__ = ("k",)
@@ -78,17 +68,6 @@ class ConstWord:
         if k < 0:
             raise ValueError("Const needs k >= 0")
         self.k = k
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k
-
-    def __hash__(self):
-        return hash((self.k,))
-
-    def __repr__(self):
-        return f"ConstWord(k={self.k!r})"
 
     def apply_object(self, n: int) -> int:
         return self.k

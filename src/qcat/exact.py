@@ -22,24 +22,16 @@ from __future__ import annotations
 
 from . import zmod
 from .errors import GuardError
+from .record import Record
 
 
-class Mor:
+class Mor(Record):
     __slots__ = ("src", "dst", "rows")
 
     def __init__(self, src, dst, rows: tuple):
         self.src = src
         self.dst = dst
         self.rows = rows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.src, self.dst, self.rows)
-                == (other.src, other.dst, other.rows))
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.rows))
 
     def __repr__(self):
         return f"Mor({self.src!r}->{self.dst!r}, {self.rows!r})"
@@ -282,7 +274,7 @@ class AbPInstance(Instance):
 # -- spans ------------------------------------------------------------------
 
 
-class Span:
+class Span(Record):
     """A morphism of the span category: the member set of the graph
     subgroup W of src + dst, which is its own canonical form.  The left
     leg W -> src is an admissible epi, and W meets src + 0 trivially
@@ -293,15 +285,6 @@ class Span:
         self.src = src
         self.dst = dst
         self.members = members
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.src, self.dst, self.members)
-                == (other.src, other.dst, other.members))
-
-    def __hash__(self):
-        return hash((self.src, self.dst, self.members))
 
     def __repr__(self):
         return f"Span({self.src!r}->{self.dst!r}, {sorted(self.members)!r})"
@@ -400,7 +383,7 @@ def span_compose(inst: Instance, t: Span, s: Span) -> Span:
 # -- ambigressive squares ----------------------------------------------------
 
 
-class Square:
+class Square(Record):
     """A commuting square:  nw --top--> ne
                             |           |
                            left       right
@@ -414,19 +397,6 @@ class Square:
         self.left = left
         self.right = right
         self.bottom = bottom
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.top, self.left, self.right, self.bottom)
-                == (other.top, other.left, other.right, other.bottom))
-
-    def __hash__(self):
-        return hash((self.top, self.left, self.right, self.bottom))
-
-    def __repr__(self):
-        return (f"Square(top={self.top!r}, left={self.left!r}, "
-                f"right={self.right!r}, bottom={self.bottom!r})")
 
     @property
     def nw(self):
@@ -566,7 +536,7 @@ def exact_sequence_squares(inst: Instance) -> list[Square]:
 # -- triple structure verification ------------------------------------------
 
 
-class TripleReport:
+class TripleReport(Record):
     __slots__ = ("passed", "squares_checked", "failures")
 
     def __init__(self, passed: bool, squares_checked: int,
@@ -574,20 +544,6 @@ class TripleReport:
         self.passed = passed
         self.squares_checked = squares_checked
         self.failures = failures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.passed, self.squares_checked, self.failures)
-                == (other.passed, other.squares_checked, other.failures))
-
-    def __hash__(self):
-        return hash((self.passed, self.squares_checked, self.failures))
-
-    def __repr__(self):
-        return (f"TripleReport(passed={self.passed!r}, "
-                f"squares_checked={self.squares_checked!r}, "
-                f"failures={self.failures!r})")
 
 
 def verify_triple(inst: Instance) -> TripleReport:

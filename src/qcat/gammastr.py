@@ -11,6 +11,7 @@ from itertools import combinations, product as iproduct
 
 from .fincat import FiniteCategory, FunctorData
 from .ordmaps import DeltaMap, all_maps
+from .record import Record
 
 
 class _Basepoint:
@@ -23,7 +24,7 @@ class _Basepoint:
 BASEPOINT = _Basepoint()
 
 
-class LambdaMorphism:
+class LambdaMorphism(Record):
     """A map source -> target + basepoint, the arrows of the category of
     finite sets with partial basepointed maps."""
 
@@ -40,19 +41,6 @@ class LambdaMorphism:
         self.target = target
         self.pairs = pairs
         self._assign = assign
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.pairs)
-                == (other.source, other.target, other.pairs))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.pairs))
-
-    def __repr__(self):
-        return (f"LambdaMorphism(source={self.source!r}, "
-                f"target={self.target!r}, pairs={self.pairs!r})")
 
     def __call__(self, j):
         return self._assign[j]
@@ -259,9 +247,10 @@ def u_functoriality_report(max_arity: int) -> CheckReport:
     cache = {}
 
     def u_of(g):
-        if g not in cache:
-            cache[g] = u_on_maps(g)
-        return cache[g]
+        u = cache.get(g)
+        if u is None:
+            u = cache[g] = u_on_maps(g)
+        return u
 
     checked = 0
     failures = []
@@ -269,11 +258,12 @@ def u_functoriality_report(max_arity: int) -> CheckReport:
     for a in arities:
         for b in arities:
             for h in all_maps(a, b):
+                uh = u_of(h)
                 for c in arities:
                     for g in all_maps(b, c):
                         checked += 1
                         lhs = u_of(g.compose(h))
-                        rhs = lam_compose(u_of(h), u_of(g))
+                        rhs = lam_compose(uh, u_of(g))
                         if lhs != rhs:
                             failures.append((h.values, g.values))
     return CheckReport(checked, tuple(failures))

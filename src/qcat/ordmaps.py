@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
+from .record import Record
 
-class DeltaMap:
+
+class DeltaMap(Record):
     """A monotone map [source_arity] -> [target_arity], stored by its images."""
 
     __slots__ = ("source_arity", "target_arity", "values")
@@ -31,19 +33,6 @@ class DeltaMap:
         self.source_arity = source_arity
         self.target_arity = target_arity
         self.values = values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source_arity, self.target_arity, self.values)
-                == (other.source_arity, other.target_arity, other.values))
-
-    def __hash__(self):
-        return hash((self.source_arity, self.target_arity, self.values))
-
-    def __repr__(self):
-        return (f"DeltaMap(source_arity={self.source_arity!r}, "
-                f"target_arity={self.target_arity!r}, values={self.values!r})")
 
     def __call__(self, i: int) -> int:
         return self.values[i]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 
+from .record import Record
 from .snf import smith_diagonal, torsion_from_diagonal
 
 Letter = tuple[str, int]
@@ -68,7 +69,7 @@ def _cyclic_key(word: Word):
     return best
 
 
-class GroupPresentation:
+class GroupPresentation(Record):
     __slots__ = ("generators", "relators")
 
     def __init__(self, generators: tuple[str, ...],
@@ -84,19 +85,6 @@ class GroupPresentation:
                     raise ValueError("letters carry exponent +1 or -1")
         self.generators = generators
         self.relators = relators
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.generators, self.relators)
-                == (other.generators, other.relators))
-
-    def __hash__(self):
-        return hash((self.generators, self.relators))
-
-    def __repr__(self):
-        return (f"GroupPresentation(generators={self.generators!r}, "
-                f"relators={self.relators!r})")
 
     @staticmethod
     def build(generators, relators) -> "GroupPresentation":

@@ -29,9 +29,11 @@ from .exact import (
 )
 from .fincat import FiniteCategory, nerve, require_category
 from .presentation import GroupPresentation, abelian_label
+from .record import Record
 
 
-class QCategory:
+# the span tables are derived from the instance, so equality skips them
+class QCategory(Record, compare=("instance", "category")):
     __slots__ = ("instance", "category", "span_of", "name_of")
 
     def __init__(self, instance: Instance, category: FiniteCategory,
@@ -40,21 +42,6 @@ class QCategory:
         self.category = category
         self.span_of = span_of      # morphism name -> Span
         self.name_of = name_of      # Span -> morphism name
-
-    # the span tables are derived from the instance, so equality skips them
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.instance, self.category)
-                == (other.instance, other.category))
-
-    def __hash__(self):
-        return hash((self.instance, self.category))
-
-    def __repr__(self):
-        return (f"QCategory(instance={self.instance!r}, "
-                f"category={self.category!r}, span_of={self.span_of!r}, "
-                f"name_of={self.name_of!r})")
 
 
 def q_category(inst: Instance, verify: bool = True) -> QCategory:

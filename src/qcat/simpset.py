@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .ordmaps import DeltaMap
 from .presentation import GroupPresentation
+from .record import Record
 from .snf import smith_diagonal, torsion_from_diagonal
 
 Word = tuple[int, ...]
@@ -404,7 +405,7 @@ class SimplicialSet:
         return self.pi1_presentation().simplified()
 
 
-class Contractibility:
+class Contractibility(Record):
     """Outcome of the finite contractibility test.
 
     status is one of "contractible_up_to" (connected, reduced homology
@@ -420,19 +421,6 @@ class Contractibility:
         self.status = status
         self.depth = depth
         self.reason = reason
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.status, self.depth, self.reason)
-                == (other.status, other.depth, other.reason))
-
-    def __hash__(self):
-        return hash((self.status, self.depth, self.reason))
-
-    def __repr__(self):
-        return (f"Contractibility(status={self.status!r}, "
-                f"depth={self.depth!r}, reason={self.reason!r})")
 
     def certified(self) -> bool:
         return self.status == "contractible_up_to"

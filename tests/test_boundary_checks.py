@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from qcat.exact import AbPInstance
-from qcat.fincat import nerve
+from qcat.delta import JoinWord, edgewise, pullback
+from qcat.exact import AbPInstance, VectInstance
+from qcat.fincat import nerve, twisted_arrow
 from qcat.formats import load_category, load_sset
 from qcat.qcons import q_category
-from qcat.simpset import boundary_of_simplex, standard_simplex
+from qcat.simpset import boundary_of_simplex, product, standard_simplex
 from qcat.snf import smith_diagonal
 from triangulations import SEEDS, surface
 
@@ -82,6 +83,15 @@ SPACES = {
     "nerve-poset3": lambda: nerve(load_category(_fixture("poset3.cat")), 3),
     "nerve-q-abp:2:4": lambda: nerve(q_category(AbPInstance(2, 4)).category,
                                      3),
+    "edgewise-simplex-2": lambda: edgewise(standard_simplex(2), 3),
+    "pullback-op,id-boundary-2": lambda: pullback(
+        JoinWord(("op", "id")), boundary_of_simplex(2), 3),
+    "product-simplex-2x1": lambda: product(standard_simplex(2),
+                                           standard_simplex(1)),
+    "nerve-twisted-bz2": lambda: nerve(
+        twisted_arrow(load_category(_fixture("bz2.cat"))), 3),
+    "nerve-q-vect:2:2": lambda: nerve(q_category(VectInstance(2, 2)).category,
+                                      2),
 }
 
 

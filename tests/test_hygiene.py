@@ -130,3 +130,18 @@ def test_no_src_module_imports_dataclasses():
             if any(n.split(".")[0] == "dataclasses" for n in names):
                 offences.append(f"{path.name}:{node.lineno}")
     assert offences == []
+
+
+def test_only_record_and_simplicial_set_define_equality():
+    """Value classes inherit `__eq__` and `__hash__` from `record.Record`;
+    `SimplicialSet` compares structurally and stays unhashable."""
+    owners = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef)
+                    and item.name in ("__eq__", "__hash__")
+                    for item in node.body):
+                owners.add(f"{path.stem}.{node.name}")
+    assert owners == {"record.Record", "simpset.SimplicialSet"}

@@ -1,18 +1,23 @@
 """The package's value classes are plain `__slots__` classes, because
 importing `dataclasses` and building each decorated class cost every
-command more start-up than most of them spend computing.  Their
-hand-written `__eq__`, `__hash__` and `__repr__` must behave exactly as
-the frozen dataclasses they replaced: each is checked here against a
-dataclass twin (`dataclass_twins.py`) on instances the package builds."""
+command more start-up than most of them spend computing.  The
+`__eq__`, `__hash__` and `__repr__` they inherit from `record.Record`
+must behave exactly as the frozen dataclasses they replaced: each is
+checked here against a dataclass twin (`dataclass_twins.py`) on
+instances the package builds."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
 import dataclass_twins as twins
+import qcat
 from qcat import delta, exact, gammastr, ordmaps, presentation, qcons, simpset
 from qcat.exact import AbPInstance, VectInstance
 from qcat.fincat import FiniteCategory
+from qcat.record import Record
 
 
 def _samples():
@@ -100,3 +105,15 @@ def test_equal_fields_of_different_classes_compare_unequal():
                          {("1", "1"): "1"})
     qc = qcons.QCategory(None, cat, {}, {})
     assert qc != twins.QCategory(None, cat, {}, {})
+
+
+def test_every_record_class_has_a_dataclass_twin():
+    for info in pkgutil.iter_modules(qcat.__path__):
+        importlib.import_module(f"qcat.{info.name}")
+    records = {cls.__name__ for cls in Record.__subclasses__()}
+    assert records == {twin.__name__ for twin in SAMPLES}
+
+
+@pytest.mark.parametrize("twin", list(SAMPLES), ids=lambda t: t.__name__)
+def test_value_classes_keep_no_instance_dict(twin):
+    assert not any(hasattr(x, "__dict__") for x in SAMPLES[twin])
