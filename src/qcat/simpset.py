@@ -474,10 +474,16 @@ class LevelModel:
     `act(f)` takes a monotone map f:[a]->[b] and returns the function that
     applies f contravariantly, sending a level-b token to a level-a token.
     Compilation asks for each map once per level and applies the function
-    it gets to every token there, so `act(f)` should do the work that
-    depends only on f before it returns.  Compilation finds which tokens
-    are degenerate, keeps the rest as ids, and rebuilds face records
-    over values.
+    it gets to many tokens there, so `act(f)` should do the work that
+    depends only on f before it returns.
+
+    Compilation writes each token as its value s_w x (Eilenberg-Zilber:
+    one nondegenerate x and one normal word w), building level n from
+    level n-1.  s_j s_w x is already in normal form exactly when w is
+    empty or j > w[0], so s_j is applied only to those tokens and each
+    degenerate token is reached once; a second hit means the model is not
+    a simplicial set.  Tokens no degeneracy reaches are the simplex ids,
+    and face records are the values of their faces.
     """
 
     __slots__ = ("levels", "act", "max_dim", "truncation")
@@ -495,74 +501,58 @@ class LevelModel:
             if len(set(toks)) != len(toks):
                 raise ValueError(f"duplicate tokens at level {n}")
 
-        mark: dict[tuple[int, object], tuple[int, object]] = {}
-        for n in range(1, self.max_dim + 1):
-            present = set(tokens[n])
-            for j in range(n):
-                sj = self.act(DeltaMap.codegeneracy(j, n - 1))
-                for t in tokens[n - 1]:
-                    image = sj(t)
-                    if image not in present:
-                        raise ValueError(f"degeneracy left the level model at {t!r}")
-                    key = (n, image)
-                    if key not in mark:
-                        mark[key] = (j, t)
+        values: dict[int, dict[object, Value]] = {}
+        for n, toks in tokens.items():
+            reached: dict[object, Value] = {}
+            if n:
+                present = set(toks)
+                for j in range(n):
+                    sj = self.act(DeltaMap.codegeneracy(j, n - 1))
+                    for t, (word, x) in values[n - 1].items():
+                        if word and j <= word[0]:
+                            continue
+                        image = sj(t)
+                        if image not in present:
+                            raise ValueError(f"degeneracy left the level model at {t!r}")
+                        if image in reached:
+                            raise ValueError(f"two degeneracies reach {image!r}")
+                        reached[image] = ((j,) + word, x)
+            values[n] = {t: reached.get(t) or ((), t) for t in toks}
 
-        ids: dict[tuple[int, object], object] = {}
-        used = set()
-        for n in range(self.max_dim + 1):
-            for t in tokens[n]:
-                if (n, t) in mark:
-                    continue
-                if t in used:
-                    raise ValueError(f"duplicate simplex id {t!r}")
-                used.add(t)
-                ids[(n, t)] = t
-
-        cofaces = {n: [self.act(DeltaMap.coface(i, n)) for i in range(n + 1)]
-                   for n in range(1, self.max_dim + 1)}
         dims = {}
+        for n, level in values.items():
+            for t, (word, _) in level.items():
+                if not word:
+                    if t in dims:
+                        raise ValueError(f"duplicate simplex id {t!r}")
+                    dims[t] = n
         faces = {}
-        token_of = {}
-        for (n, t), name in ids.items():
-            dims[name] = n
-            token_of[name] = t
-            if n > 0:
-                faces[name] = tuple(_resolve(mark, ids, n - 1, d(t))
-                                    for d in cofaces[n])
+        for n in range(1, self.max_dim + 1):
+            cofaces = [self.act(DeltaMap.coface(i, n)) for i in range(n + 1)]
+            for t, (word, _) in values[n].items():
+                if not word:
+                    faces[t] = tuple(values[n - 1][d(t)] for d in cofaces)
         sset = SimplicialSet(dims, faces, self.truncation)
-        return CompiledLevelModel(sset, tokens, mark, ids, token_of)
-
-
-def _resolve(mark, ids, n, t) -> Value:
-    """The value of token t at level n: follow the degeneracy marks down to
-    a nondegenerate token, collecting letters outermost-first."""
-    word: Word = ()
-    while (n, t) in mark:
-        j, parent = mark[(n, t)]
-        word += (j,)
-        n, t = n - 1, parent
-    return (compose_words(word, ()), ids[(n, t)])
+        return CompiledLevelModel(sset, tokens, values)
 
 
 class CompiledLevelModel:
-    """`map_to(other, push)` is the simplicial map into `other` sending
-    the simplex with token t at level n to the value of token push(t, n)."""
-    __slots__ = ("space", "tokens", "mark", "ids", "token_of")
+    """The compiled space, with `values[n][t]`, the value (word, id) of
+    the token t at level n.  `tokens` keeps each level's token list, which
+    the per-layer tracer counts.  `map_to(other, push)` is the simplicial
+    map into `other` sending the simplex with token t at level n to the
+    value of token push(t, n)."""
+    __slots__ = ("space", "tokens", "values")
 
-    def __init__(self, space: SimplicialSet, tokens: dict, mark: dict,
-                 ids: dict, token_of: dict):
+    def __init__(self, space: SimplicialSet, tokens: dict, values: dict):
         self.space = space
         self.tokens = tokens
-        self.mark = mark
-        self.ids = ids
-        self.token_of = token_of
+        self.values = values
 
     def map_to(self, other: "CompiledLevelModel", push) -> "SimplicialMap":
         return SimplicialMap(self.space, other.space, {
-            name: _resolve(other.mark, other.ids, n,
-                           push(self.token_of[name], n))
-            for name, n in self.space.dims.items()})
+            t: other.values[n][push(t, n)]
+            for t, n in self.space.dims.items()})
 
 
 def truncate(x: SimplicialSet, depth: int) -> SimplicialSet:

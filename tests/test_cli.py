@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -133,14 +134,30 @@ def test_malformed_input_exits_two(capsys, argv, needle):
     assert needle in err
 
 
-def run_fresh(*argv):
+def run_fresh(*argv, text=True, **env_vars):
     """Runs qcat in a fresh process with a timeout, so a command that
-    loops or runs away fails its test instead of hanging the suite."""
-    env = dict(os.environ)
+    loops or runs away fails its test instead of hanging the suite.
+    `text=False` keeps stdout and stderr as bytes; `env_vars` are added
+    to the child's environment."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "qcat", *argv], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=env, capture_output=True, text=text, timeout=60)
+
+
+def test_benchmark_commands_match_their_recorded_oracles():
+    """The fixed benchmark commands still print byte-identical reports:
+    exit code and stdout sha256 as recorded in perfbench/oracles.json,
+    run with the hash seed the benchmark sets."""
+    oracles = json.loads((ROOT / "perfbench" / "oracles.json").read_text("utf-8"))
+    assert len(oracles) == 11
+    got = {}
+    for line in oracles:
+        done = run_fresh(*line.split(), text=False, PYTHONHASHSEED="0")
+        got[line] = {"exit": done.returncode,
+                     "sha256": hashlib.sha256(done.stdout).hexdigest()}
+    assert got == oracles
 
 
 @pytest.mark.parametrize("probe", ["c0", "c00"])

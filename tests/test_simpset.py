@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcat import simpset
-from qcat.delta import parse_word, pullback_model
-from qcat.exact import VectInstance
-from qcat.fincat import nerve_model
+from qcat.delta import (EDGEWISE, edgewise_structure_map, parse_word,
+                        pullback_map, pullback_model)
+from qcat.exact import AbPInstance, VectInstance
+from qcat.fincat import nerve_map, nerve_model, twisted_projection
 from qcat.formats import load_category
 from qcat.ordmaps import DeltaMap, all_maps
 from qcat.qcons import q_category
@@ -329,10 +330,40 @@ def reference_compile(model: LevelModel):
         token_of[name] = t
         if n > 0:
             faces[name] = tuple(
-                simpset._resolve(mark, ids, n - 1, act(DeltaMap.coface(i, n), t))
+                reference_resolve(mark, ids, n - 1, act(DeltaMap.coface(i, n), t))
                 for i in range(n + 1))
     return (SimplicialSet(dims, faces, model.truncation), tokens, mark, ids,
             token_of)
+
+
+def reference_resolve(mark, ids, n, t):
+    """The value of token t at level n: follow the degeneracy marks down to
+    a nondegenerate token, collecting letters outermost-first."""
+    word = ()
+    while (n, t) in mark:
+        j, parent = mark[(n, t)]
+        word += (j,)
+        n, t = n - 1, parent
+    return (simpset.compose_words(word, ()), ids[(n, t)])
+
+
+class ReferenceCompiled:
+    """`CompiledLevelModel` over the reference: maps resolve their images
+    through the marks."""
+
+    def __init__(self, model: LevelModel):
+        self.space, _, self.mark, self.ids, self.token_of = \
+            reference_compile(model)
+
+    def map_to(self, other, push):
+        return SimplicialMap(self.space, other.space, {
+            name: reference_resolve(other.mark, other.ids, n,
+                                    push(self.token_of[name], n))
+            for name, n in self.space.dims.items()})
+
+
+def _pullback_d4_op_id():
+    return pullback_model(parse_word("op,id"), standard_simplex(4), 5)
 
 
 def _compile_models():
@@ -342,15 +373,20 @@ def _compile_models():
                 yield (f"pullback-d{m}-{word}-{depth}",
                        lambda m=m, word=word, depth=depth: pullback_model(
                            parse_word(word), standard_simplex(m), depth))
+    yield ("pullback-d4-op,id-5", _pullback_d4_op_id)
     yield ("product-d1-d2",
            lambda: product_model(standard_simplex(1), standard_simplex(2)))
     yield ("product-circle-circle",
            lambda: product_model(simplicial_circle(), simplicial_circle()))
+    yield ("product-op(d2)-d2", lambda: product_model(
+        standard_simplex(2).opposite(), standard_simplex(2)))
     for name, depth in (("bz2", 3), ("poset3", None)):
         yield (f"nerve-{name}", lambda name=name, depth=depth: nerve_model(
             load_category((FIXTURES / f"{name}.cat").read_text()), depth))
     yield ("nerve-Q(vect:2:1)",
            lambda: nerve_model(q_category(VectInstance(2, 1)).category, 3))
+    yield ("nerve-Q(abp:2:4)",
+           lambda: nerve_model(q_category(AbPInstance(2, 4)).category, 3))
 
 
 COMPILE_MODELS = list(_compile_models())
@@ -361,14 +397,68 @@ COMPILE_MODELS = list(_compile_models())
 def test_compile_matches_the_per_token_reference(build):
     model = build()
     got = model.compile()
-    space, tokens, mark, ids, token_of = reference_compile(model)
+    space, tokens, mark, ids, _ = reference_compile(model)
     assert got.space == space
-    assert list(got.space.dims.items()) == list(space.dims.items())
-    assert got.tokens == tokens
     # dict order too: it fixes the order of the compiled simplices
-    assert list(got.mark.items()) == list(mark.items())
-    assert list(got.ids.items()) == list(ids.items())
-    assert list(got.token_of.items()) == list(token_of.items())
+    assert list(got.space.dims.items()) == list(space.dims.items())
+    assert list(got.space.faces.items()) == list(space.faces.items())
+    assert got.tokens == tokens
+    for n, toks in tokens.items():
+        assert list(got.values[n]) == toks
+        for t in toks:
+            assert got.values[n][t] == reference_resolve(mark, ids, n, t)
+
+
+def _bz2():
+    return load_category((FIXTURES / "bz2.cat").read_text())
+
+
+def _boundary_inclusion():
+    return SimplicialMap(boundary_of_simplex(2), standard_simplex(2),
+                         {s: ((), s) for s in boundary_of_simplex(2).dims})
+
+
+MAP_CASES = {
+    "nerve-twisted-projection-bz2":
+        lambda: nerve_map(twisted_projection(_bz2()), 3),
+    "pullback-edgewise-boundary-inclusion":
+        lambda: pullback_map(EDGEWISE, _boundary_inclusion(), 2),
+    "edgewise-structure-d1":
+        lambda: edgewise_structure_map(standard_simplex(1), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MAP_CASES))
+def test_map_to_matches_the_reference(monkeypatch, name):
+    got = MAP_CASES[name]()
+    monkeypatch.setattr(LevelModel, "compile",
+                        lambda model: ReferenceCompiled(model))
+    want = MAP_CASES[name]()
+    assert got.source == want.source and got.target == want.target
+    assert list(got.assignment.items()) == list(want.assignment.items())
+
+
+def test_compile_applies_each_degeneracy_once_per_degenerate_token():
+    model = _pullback_d4_op_id()
+    act = model.act
+    calls = 0
+
+    def counting_act(f):
+        apply = act(f)
+        if not f.is_surjective():
+            return apply
+
+        def spy(t):
+            nonlocal calls
+            calls += 1
+            return apply(t)
+        return spy
+
+    compiled = LevelModel(model.levels, counting_act, model.max_dim,
+                          model.truncation).compile()
+    tokens = sum(len(toks) for toks in compiled.tokens.values())
+    assert (tokens, len(compiled.space.dims)) == (3611, 231)
+    assert calls == 3380 == tokens - len(compiled.space.dims)
 
 
 def _identity_action(f):
@@ -397,4 +487,20 @@ def test_compile_rejects_duplicate_simplex_ids():
     model = LevelModel(levels=levels.__getitem__,
                        act=lambda f: lambda t: "w", max_dim=1)
     with pytest.raises(ValueError, match="duplicate simplex id 'v'"):
+        model.compile()
+
+
+def test_compile_rejects_two_degeneracies_onto_one_token():
+    # s_0 f and s_1 s_0 v both land on "x", which no simplicial set allows
+    levels = {0: ["v"], 1: ["e", "f"], 2: ["x"]}
+
+    def act(f):
+        if f.is_surjective():
+            image = {1: "e", 2: "x"}[f.source_arity]
+        else:
+            image = "v" if f.source_arity == 0 else "e"
+        return lambda t: image
+
+    model = LevelModel(levels=levels.__getitem__, act=act, max_dim=2)
+    with pytest.raises(ValueError, match="two degeneracies reach 'x'"):
         model.compile()
