@@ -4,7 +4,8 @@ Every subcommand writes one canonical JSON report to stdout and a short
 human-readable summary to stderr.  Reports depend only on the
 arguments.  Exit status: 0 for any completed run (negative verdicts
 are data, not errors), 1 when a construction guard trips, 2 for
-malformed input, with a message naming where the problem sits.
+malformed input or an unwritable `--out` file, with a message naming
+where the problem sits.
 
 Each handler imports its own layer (`delta`, `fincat`, `qcons`,
 `deviss`, `gammastr`) when it runs.  Every command is a fresh process
@@ -326,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True,
                    help="instance descriptor like vect:2:1 or abp:2:4")
     p.add_argument("--depth", type=int, default=3,
-                   help="at least 2; echoed, but only the 2-skeleton is built")
+                   help="at least 2; only echoed, since pi_1 is read off "
+                        "the span category's composition table")
 
     p = add("segal", run_segal,
             "compare diagram classes with composable strings")
@@ -365,15 +367,19 @@ def main(argv=None) -> int:
         if depth is not None and depth < 1:
             raise ValueError("depth must be at least 1")
         report, summary = args.handler(args)
+        text = _canon(report)
+        if args.out:
+            try:
+                Path(args.out).write_text(text, encoding="utf-8")
+            except OSError as e:
+                raise ValueError(f"cannot write report file {args.out!r}: "
+                                 f"{e.strerror}")
     except GuardError as e:
         print(f"qcat {args.subcommand}: guard: {e}", file=sys.stderr)
         return 1
     except ValueError as e:
         print(f"qcat {args.subcommand}: error: {e}", file=sys.stderr)
         return 2
-    text = _canon(report)
     sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
     print(summary, file=sys.stderr)
     return 0

@@ -21,7 +21,8 @@ from .exact import (
     span_from_legs,
     span_legs,
 )
-from .fincat import FiniteCategory, FunctorData, comma, nerve, require_category
+from .fincat import (FiniteCategory, FunctorData, comma, composites, nerve,
+                     require_category)
 from .qcons import q_category
 from .simpset import Contractibility, SimplicialSet, contractibility
 
@@ -442,15 +443,10 @@ def relative_q_objects(psi: ExactEmbedding,
                     and t.compose(p_left, b) == want_2)
         return w, w_u, w_v, alpha, beta
 
-    table = {}
-    for m2, (s2, t2) in morph.items():
-        for m1, (s1, t1) in morph.items():
-            if t1 != s2:
-                continue
-            w, w_u, w_v, alpha, beta = compose_data(m2, m1)
-            key = _datum_class_key(psi, w, w_u, w_v, alpha, beta)
-            table[(m2, m1)] = (s1, t2, key)
+    def compose(m2, m1):
+        key = _datum_class_key(psi, *compose_data(m2, m1))
+        return (morph[m1][0], morph[m2][1], key)
 
-    cat = FiniteCategory(objects, morph, identity, table)
+    cat = FiniteCategory(objects, morph, identity, composites(morph, compose))
     require_category(cat)
     return cat

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .errors import GuardError
 from .ordmaps import DeltaMap
-from .simpset import LevelModel, SimplicialMap, SimplicialSet
+from .simpset import (LevelModel, SimplicialMap, SimplicialSet,
+                      edge_path_presentation)
 
 
 class FiniteCategory:
@@ -145,6 +146,23 @@ def require_category(c: FiniteCategory):
     c._checked = True
 
 
+def composites(morph, compose) -> dict:
+    """{(g, f): compose(g, f)} over the composable pairs of `morph` (id ->
+    (source, target)): each g in `morph` order, then each f into its source
+    in `morph` order.  The pairs, level 2 of the nerve, are counted first
+    and held to NERVE_LEVEL_LIMIT."""
+    arriving = {}
+    for f, (_, t) in morph.items():
+        arriving.setdefault(t, []).append(f)
+    pairs = sum(len(arriving.get(s, ())) for s, _ in morph.values())
+    if pairs > NERVE_LEVEL_LIMIT:
+        raise GuardError(f"composition table: {len(morph)} morphisms make "
+                         f"{pairs} composable pairs, over the limit of "
+                         f"{NERVE_LEVEL_LIMIT}")
+    return {(g, f): compose(g, f)
+            for g, (s, _) in morph.items() for f in arriving.get(s, ())}
+
+
 def opposite_cat(c: FiniteCategory) -> FiniteCategory:
     return FiniteCategory(
         c.objects,
@@ -205,11 +223,6 @@ class FunctorData:
             if lhs != rhs:
                 problems.append(f"composition not preserved at ({g!r}, {f!r})")
         return problems
-
-    @staticmethod
-    def identity_functor(c: FiniteCategory) -> "FunctorData":
-        return FunctorData(c, c, {x: x for x in c.objects},
-                           {m: m for m in c.morph})
 
 
 # -- nerve ---------------------------------------------------------------
@@ -341,6 +354,20 @@ def nerve_map(fun: FunctorData, depth: int | None = None) -> SimplicialMap:
     return src_model.compile().map_to(dst_model.compile(), push)
 
 
+def pi1_presentation(c: FiniteCategory):
+    """`nerve(c, 2).pi1_presentation()`, read off the table: the edges are
+    the nonidentity morphisms m as tokens (m,), the triangles their
+    composable pairs (f, g), each in the nerve's `repr` order."""
+    require_category(c)
+    ids = set(c.identity.values())
+    edges = {e: c.morph[e[0]]
+             for e in sorted(((m,) for m in c.morph if m not in ids), key=repr)}
+    pairs = sorted(((f, g) for g, f in c.compose_table
+                    if f not in ids and g not in ids), key=repr)
+    return edge_path_presentation(sorted(c.objects, key=repr), edges, [
+        ((f,), (g,), (c.compose(g, f),)) for f, g in pairs])
+
+
 # -- twisted arrows -------------------------------------------------------
 
 
@@ -357,12 +384,8 @@ def twisted_arrow(c: FiniteCategory) -> FiniteCategory:
                 g = c.compose(b, c.compose(f, a))
                 morph[(a, f, b)] = (f, g)
         identity[f] = (c.identity[c.src(f)], f, c.identity[c.dst(f)])
-    table = {}
-    for (a2, g, b2), (g_src, _) in morph.items():
-        for (a1, f, b1), (_, f_dst) in morph.items():
-            if f_dst == g_src:
-                table[((a2, g, b2), (a1, f, b1))] = \
-                    (c.compose(a1, a2), f, c.compose(b2, b1))
+    table = composites(morph, lambda g, f: (c.compose(f[0], g[0]), f[1],
+                                            c.compose(g[2], f[2])))
     return FiniteCategory(objects, morph, identity, table)
 
 
@@ -445,11 +468,8 @@ def comma(fun: FunctorData, x, coslice: bool = False) -> FiniteCategory:
                 if ok:
                     morph[(u, h, h1)] = ((c0, h), (c1, h1))
         identity[(c0, h)] = (cc.identity[c0], h, h)
-    table = {}
-    for m2, (s2, t2) in morph.items():
-        for m1, (s1, t1) in morph.items():
-            if t1 == s2:
-                table[(m2, m1)] = (cc.compose(m2[0], m1[0]), m1[1], m2[2])
+    table = composites(morph, lambda g, f: (cc.compose(g[0], f[0]), f[1],
+                                            g[2]))
     return FiniteCategory(objects, morph, identity, table)
 
 

@@ -9,7 +9,7 @@ functors.  Everything is small enough to verify exhaustively.
 
 from itertools import combinations, product as iproduct
 
-from .fincat import FiniteCategory, FunctorData
+from .fincat import FiniteCategory, FunctorData, composites
 from .ordmaps import DeltaMap, all_maps
 from .record import Record
 
@@ -59,10 +59,6 @@ def lam(source, target, mapping) -> LambdaMorphism:
     return LambdaMorphism(src, frozenset(target), pairs)
 
 
-def lam_identity(i) -> LambdaMorphism:
-    return lam(i, i, lambda x: x)
-
-
 def lam_compose(g: LambdaMorphism, f: LambdaMorphism) -> LambdaMorphism:
     """g after f; anything hitting the basepoint stays there."""
     if f.target != g.source:
@@ -97,17 +93,6 @@ def smash(i, j) -> frozenset:
     """Product of underlying sets; basepoints of the factors collapse,
     which is why there is no extra point to track."""
     return frozenset((a, b) for a in i for b in j)
-
-
-def smash_mor(phi: LambdaMorphism, psi: LambdaMorphism) -> LambdaMorphism:
-    def step(pair):
-        a, b = phi(pair[0]), psi(pair[1])
-        if a is BASEPOINT or b is BASEPOINT:
-            return BASEPOINT
-        return (a, b)
-
-    return lam(smash(phi.source, psi.source),
-               smash(phi.target, psi.target), step)
 
 
 # -- the cut functor -----------------------------------------------------
@@ -197,12 +182,8 @@ def L_of(i) -> FiniteCategory:
                     morph[psi] = (k, j)
                     if k == j and psi.is_identity():
                         identity[k] = psi
-    table = {}
-    for g, (gs, gt) in morph.items():
-        for f, (fs, ft) in morph.items():
-            if ft == gs:
-                table[(g, f)] = lam_compose(g, f)
-    return FiniteCategory(subsets, morph, identity, table)
+    return FiniteCategory(subsets, morph, identity,
+                          composites(morph, lam_compose))
 
 
 def L_restriction(phi: LambdaMorphism) -> FunctorData:

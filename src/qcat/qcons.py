@@ -3,7 +3,8 @@
 Morphisms X -> Y are isomorphism classes of spans X <<- U >-> Y with an
 egressive left leg and an ingressive right leg, composed by pullback.
 The class group of the instance falls out as the abelianized fundamental
-group of this category's nerve.
+group of this category (Quillen: pi_1 BQC = K_0 C), whose edge-path
+presentation is read off its arrows and composition table.
 
 Ambigressive diagrams (the triangular grids whose elementary squares are
 all ambigressive pullbacks) are grown from spine strings corner by corner.
@@ -18,16 +19,13 @@ from .errors import GuardError
 from .exact import (
     Instance,
     Mor,
-    Square,
     all_spans,
-    bicartesian_check,
     identity_span,
     span_compose,
     span_legs,
-    square_commutes,
     verify_triple,
 )
-from .fincat import FiniteCategory, nerve, require_category
+from .fincat import FiniteCategory, require_category
 from .presentation import GroupPresentation, abelian_label
 from .record import Record
 
@@ -69,13 +67,8 @@ def q_category(inst: Instance, verify: bool = True) -> QCategory:
                 name_of[s] = name
                 morphisms[name] = (x, y)
     identity = {x: name_of[identity_span(inst, x)] for x in objs}
-    table = {}
-    for f, (x, y) in morphisms.items():
-        for g, (y2, z) in morphisms.items():
-            if y2 != y:
-                continue
-            table[(g, f)] = name_of[span_compose(inst, span_of[g],
-                                                 span_of[f])]
+    table = fincat.composites(morphisms, lambda g, f: name_of[
+        span_compose(inst, span_of[g], span_of[f])])
     cat = FiniteCategory(objs, morphisms, identity, table)
     require_category(cat)
     return QCategory(inst, cat, span_of, name_of)
@@ -102,20 +95,20 @@ class K0Report:
 
 
 def k0(inst: Instance, depth: int | None = None) -> K0Report:
-    """Class group of the instance, read off the span category's nerve.
+    """Class group of the instance: pi_1 of the span category, read off
+    its arrows and composition table (`fincat.pi1_presentation`).
 
-    pi_1 reads only the 2-skeleton, so the nerve is built through
-    min(depth, 2); `depth` (echoed as given) must be at least 2.  Leave
-    it None only when the category has no composable nonidentity strings
-    beyond some finite length.
+    pi_1 needs only the 2-skeleton of the nerve, which the table already
+    is, so no nerve is built; `depth` is only echoed, and when given must
+    be at least 2.  The category is connected when every object is the
+    target of a span from the zero object.
     """
     if depth is not None and depth < 2:
         raise ValueError("k0 needs the nerve through dimension 2")
-    qc = q_category(inst)
-    ns = nerve(qc.category, None if depth is None else min(depth, 2))
-    if len(ns.components()) != 1:
-        raise ValueError("span category nerve is disconnected")
-    raw = ns.pi1_presentation()
+    cat = q_category(inst).category
+    if not all(cat.hom(inst.zero_object(), x) for x in cat.objects):
+        raise ValueError("span category is disconnected")
+    raw = fincat.pi1_presentation(cat)
     simplified = raw.simplified()
     betti, torsion = simplified.abelianization()
     return K0Report(inst.describe(), depth, raw, simplified,
@@ -139,48 +132,6 @@ class AmbigressiveDiagram:
         self.objects = objects
         self.epis = epis
         self.monos = monos
-
-    def egressive_to(self, inst: Instance, i: int, j: int, l: int) -> Mor:
-        f = inst.identity(self.objects[(i, j)])
-        for col in range(j, l, -1):
-            f = inst.compose(self.epis[(i, col)], f)
-        return f
-
-    def ingressive_to(self, inst: Instance, i: int, j: int, k: int) -> Mor:
-        f = inst.identity(self.objects[(i, j)])
-        for row in range(i, k):
-            f = inst.compose(self.monos[(row, j)], f)
-        return f
-
-
-def check_diagram(inst: Instance, d: AmbigressiveDiagram) -> list[str]:
-    """Exhaustive invariant check: leg admissibility and every interior
-    square bicartesian.  Returns problem descriptions, [] when clean."""
-    problems = []
-    for (i, j), e in d.epis.items():
-        if not inst.is_epi(e):
-            problems.append(f"step X_{i}{j} -> X_{i}{j - 1} is not egressive")
-    for (i, j), m in d.monos.items():
-        if not inst.is_mono(m):
-            problems.append(f"step X_{i}{j} -> X_{i + 1}{j} is not ingressive")
-    if problems:
-        return problems
-    for i in range(d.n + 1):
-        for k in range(i + 1, d.n + 1):
-            for l in range(k, d.n + 1):
-                for j in range(l + 1, d.n + 1):
-                    sq = Square(
-                        top=d.egressive_to(inst, i, j, l),
-                        left=d.ingressive_to(inst, i, j, k),
-                        right=d.ingressive_to(inst, i, l, k),
-                        bottom=d.egressive_to(inst, k, j, l))
-                    if not square_commutes(inst, sq):
-                        problems.append(
-                            f"square ({i},{k},{l},{j}) does not commute")
-                    elif not bicartesian_check(inst, sq):
-                        problems.append(
-                            f"square ({i},{k},{l},{j}) is not bicartesian")
-    return problems
 
 
 def _spine_strings(inst: Instance, n: int):

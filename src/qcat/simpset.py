@@ -333,76 +333,59 @@ class SimplicialSet:
         (_, b) = self.face_of(e, 0)
         return a, b
 
-    def first_vertex(self, x):
-        """Vertex 0 of a nondegenerate simplex, via repeated last faces."""
-        v: Value = ((), x)
-        while self.dim_of(v) > 0:
-            v = self.face(v, self.dim_of(v))
-        return v[1]
-
     def pi1_presentation(self) -> GroupPresentation:
-        """Edge-path presentation of pi_1 at the first component.
-
-        Needs the 2-skeleton: a complete presentation or truncation >= 2.
-        Generators are the nondegenerate edges off a breadth-first spanning
-        tree; each nondegenerate triangle contributes the relator
-        (02-edge)^(-1) (01-edge) (12-edge) read as an edge path.
-        """
+        """`edge_path_presentation` of the nondegenerate edges and
+        triangles; a degenerate face names a vertex, so it is no edge.
+        Needs the 2-skeleton: a complete presentation or truncation >= 2."""
         if self.truncation is not None and self.truncation < 2:
             raise ValueError("pi_1 needs the presentation through dimension 2")
-        comps = self.components()
-        if not comps:
-            raise ValueError("empty simplicial set has no pi_1")
-        comp = comps[0]
-        in_comp = set(comp)
-
-        # breadth-first spanning tree over nondegenerate edges
-        adj = {}
-        for e in self.nondeg(1):
-            a, b = self.edge_endpoints(e)
-            if a in in_comp:
-                adj.setdefault(a, []).append((b, e))
-                adj.setdefault(b, []).append((a, e))
-        root = sorted(comp, key=repr)[0]
-        tree_edges = set()
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in sorted(frontier, key=repr):
-                for u, e in sorted(adj.get(v, []), key=lambda p: (repr(p[0]), repr(p[1]))):
-                    if u not in seen:
-                        seen.add(u)
-                        tree_edges.add(e)
-                        nxt.append(u)
-            frontier = nxt
-
-        gens = [e for e in self.nondeg(1)
-                if e not in tree_edges and self.edge_endpoints(e)[0] in in_comp]
-        gen_names = {e: f"g{k}" for k, e in enumerate(gens)}
-
-        def edge_letter(value):
-            word, e = value
-            if word or e in tree_edges:
-                return None
-            return gen_names.get(e)
-
-        relators = []
-        for t in self.nondeg(2):
-            if self.first_vertex(t) not in in_comp:
-                continue
-            word = []
-            for val, sign in ((self.face_of(t, 2), 1),
-                              (self.face_of(t, 0), 1),
-                              (self.face_of(t, 1), -1)):
-                g = edge_letter(val)
-                if g is not None:
-                    word.append((g, sign))
-            relators.append(tuple(word))
-        return GroupPresentation.build(tuple(gen_names.values()), relators)
+        return edge_path_presentation(
+            self.vertices(),
+            {e: self.edge_endpoints(e) for e in self.nondeg(1)},
+            [tuple(self.faces[t][i][1] for i in (2, 0, 1))
+             for t in self.nondeg(2)])
 
     def fundamental_group(self) -> GroupPresentation:
         return self.pi1_presentation().simplified()
+
+
+def edge_path_presentation(vertices, edges, triangles) -> GroupPresentation:
+    """Edge-path presentation of pi_1 at the component of vertices[0].
+
+    `edges` maps each edge to its (source, target), and each triangle
+    lists its (01, 12, 02) edges.  Generators are that component's edges
+    off a breadth-first spanning tree, named g0, g1, ... in `edges` order.
+    A triangle gives the relator (01) (12) (02)^(-1) of its generators, so
+    a degenerate face (no key of `edges`) adds no letter, and a triangle
+    off the component gives an empty relator, which is dropped.
+    """
+    if not vertices:
+        raise ValueError("empty simplicial set has no pi_1")
+    adj = {}
+    for e, (a, b) in edges.items():
+        adj.setdefault(a, []).append((b, e))
+        adj.setdefault(b, []).append((a, e))
+    root = vertices[0]
+    tree_edges = set()
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in sorted(frontier, key=repr):
+            for u, e in sorted(adj.get(v, []), key=lambda p: (repr(p[0]), repr(p[1]))):
+                if u not in seen:
+                    seen.add(u)
+                    tree_edges.add(e)
+                    nxt.append(u)
+        frontier = nxt
+
+    gens = [e for e, (a, _) in edges.items()
+            if e not in tree_edges and a in seen]
+    gen_names = {e: f"g{k}" for k, e in enumerate(gens)}
+    relators = [tuple((gen_names[e], sign)
+                      for e, sign in zip(tri, (1, 1, -1)) if e in gen_names)
+                for tri in triangles]
+    return GroupPresentation.build(tuple(gen_names.values()), relators)
 
 
 class Contractibility(Record):
@@ -584,11 +567,6 @@ def boundary_of_simplex(m: int) -> SimplicialSet:
     return SimplicialSet(dims, faces, None)
 
 
-def simplicial_circle() -> SimplicialSet:
-    return SimplicialSet({"pt": 0, "loop": 1},
-                         {"loop": (((), "pt"), ((), "pt"))}, None)
-
-
 def simplicial_set_from_triangulation(triangles) -> SimplicialSet:
     """Build a 2-complex from vertex triples; edges and vertices inferred.
 
@@ -683,12 +661,6 @@ class SimplicialMap:
         return SimplicialMap(x, x, {s: ((), s) for s in x.dims}, check=False)
 
 
-def fold_map(x: SimplicialSet) -> SimplicialMap:
-    """The codiagonal X + X -> X."""
-    both = x.disjoint_union(x)
-    return SimplicialMap(both, x, {(side, s): ((), s) for side, s in both.dims})
-
-
 # -- unique-horn-filling check -------------------------------------------
 
 
@@ -776,54 +748,3 @@ def _horn_families(candidates, faces, slots):
             del family[i]
 
     yield from extend(0)
-
-
-# -- isomorphism search ---------------------------------------------------
-
-
-def find_isomorphism(x: SimplicialSet, y: SimplicialSet):
-    """Dimension-by-dimension backtracking; None when not isomorphic."""
-    if x.truncation != y.truncation:
-        return None
-    by_dim_x = {n: x.nondeg(n) for n in range(x.max_nondeg_dim() + 1)}
-    by_dim_y = {n: y.nondeg(n) for n in range(y.max_nondeg_dim() + 1)}
-    if sorted(by_dim_x) != sorted(by_dim_y):
-        return None
-    if any(len(by_dim_x[n]) != len(by_dim_y.get(n, ())) for n in by_dim_x):
-        return None
-
-    order = [s for n in sorted(by_dim_x) for s in by_dim_x[n]]
-    assign: dict = {}
-    used: set = set()
-
-    def value_image(value):
-        word, s = value
-        return (word, assign[s])
-
-    def ok(s, t):
-        n = x.dims[s]
-        if y.dims[t] != n:
-            return False
-        for i in range(n + 1) if n else ():
-            img = value_image(x.face_of(s, i))
-            if y.face_of(t, i) != img:
-                return False
-        return True
-
-    def solve(idx):
-        if idx == len(order):
-            return True
-        s = order[idx]
-        for t in by_dim_y[x.dims[s]]:
-            if t in used:
-                continue
-            if ok(s, t):
-                assign[s] = t
-                used.add(t)
-                if solve(idx + 1):
-                    return True
-                del assign[s]
-                used.remove(t)
-        return False
-
-    return dict(assign) if solve(0) else None

@@ -146,18 +146,41 @@ def run_fresh(*argv, text=True, **env_vars):
                           env=env, capture_output=True, text=text, timeout=60)
 
 
-def test_benchmark_commands_match_their_recorded_oracles():
-    """The fixed benchmark commands still print byte-identical reports:
-    exit code and stdout sha256 as recorded in perfbench/oracles.json,
-    run with the hash seed the benchmark sets."""
-    oracles = json.loads((ROOT / "perfbench" / "oracles.json").read_text("utf-8"))
-    assert len(oracles) == 11
+def fresh_digests(lines) -> dict:
+    """Exit code and stdout sha256 of each command line, each run in a
+    fresh process with the hash seed the benchmark sets."""
     got = {}
-    for line in oracles:
+    for line in lines:
         done = run_fresh(*line.split(), text=False, PYTHONHASHSEED="0")
         got[line] = {"exit": done.returncode,
                      "sha256": hashlib.sha256(done.stdout).hexdigest()}
-    assert got == oracles
+    return got
+
+
+def test_benchmark_commands_match_their_recorded_oracles():
+    """The fixed benchmark commands still print byte-identical reports:
+    exit code and stdout sha256 as recorded in perfbench/oracles.json."""
+    oracles = json.loads((ROOT / "perfbench" / "oracles.json").read_text("utf-8"))
+    assert len(oracles) == 11
+    assert fresh_digests(oracles) == oracles
+
+
+# Recorded like perfbench/oracles.json.  Their span categories have about
+# 3,100 raw relators each, against 83 for the benchmark's abp:2:4.
+K0_REPORTS = {
+    "k0 --instance abp:3:9 --depth 2": {
+        "exit": 0,
+        "sha256": "628ada66acfdc4a2305592af3da692df"
+                  "506a392a44361a0c1fe95521ca0b509a"},
+    "k0 --instance vect:3:2 --depth 3": {
+        "exit": 0,
+        "sha256": "b47501e1225a12bf3f4f1c402052a01c"
+                  "0e22d96858f7fad46e103575b9ceb1b4"},
+}
+
+
+def test_heavier_k0_reports_match_their_recorded_digests():
+    assert fresh_digests(K0_REPORTS) == K0_REPORTS
 
 
 @pytest.mark.parametrize("probe", ["c0", "c00"])
@@ -204,6 +227,16 @@ def test_out_file_matches_stdout(capsys, tmp_path):
                      "--out", str(path))
     assert rc == 0
     assert path.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_path_exits_two_before_any_output(capsys, tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    rc, out, err = run(capsys, "homology", "--in", RP2, "--out", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == (f"qcat homology: error: cannot write report file "
+                   f"{str(path)!r}: No such file or directory\n")
+    assert not path.parent.exists()
 
 
 def test_reports_are_byte_stable_across_runs_and_threads(capsys, monkeypatch):

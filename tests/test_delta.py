@@ -18,11 +18,11 @@ from qcat.ordmaps import DeltaMap, all_maps
 from qcat.simpset import (
     SimplicialMap,
     boundary_of_simplex,
-    find_isomorphism,
     left_fibration_check,
     standard_simplex,
     truncate,
 )
+from test_simpset import find_isomorphism
 from triangulations import HOMOLOGY, surface
 
 

@@ -8,8 +8,9 @@ import pytest
 from qcat import fincat
 from qcat.cli import main
 from qcat.errors import GuardError
-from qcat.exact import AbPInstance, VectInstance
+from qcat.exact import AbPInstance, VectInstance, parse_instance
 from qcat.formats import load_category
+from qcat.gammastr import L_of
 from qcat.fincat import (
     FiniteCategory,
     FunctorData,
@@ -33,6 +34,11 @@ from qcat.qcons import k0, q_category
 from qcat.simpset import left_fibration_check
 
 BZ2 = Path(__file__).resolve().parent.parent / "fixtures" / "bz2.cat"
+
+
+def identity_functor(c: FiniteCategory) -> FunctorData:
+    return FunctorData(c, c, {x: x for x in c.objects},
+                       {m: m for m in c.morph})
 
 
 def test_corpus_satisfies_axioms():
@@ -211,7 +217,7 @@ def test_comma_coslice_under_bottom_object(poset_inclusion):
 
 def test_comma_of_identity_functor_is_contractible():
     two = chain_poset(2)
-    sl = comma(FunctorData.identity_functor(two), 2)
+    sl = comma(identity_functor(two), 2)
     assert len(sl.objects) == 3
     ns = nerve(sl)
     assert ns.truncation is None
@@ -230,6 +236,51 @@ def test_nerve_map_deepens_target_when_images_degenerate():
     # the single nondegenerate edge collapses onto the vertex
     edge = f.source.nondeg(1)[0]
     assert f.on_value(((), edge)) == ((0,), f.target.nondeg(0)[0])
+
+
+# -- composition tables and pi_1 read off them -------------------------------
+
+
+def pairwise_table(morph, compose):
+    """The pairwise scan that `composites` replaced: every g, then every f,
+    both in `morph` order, kept where f arrives at g's source."""
+    table = {}
+    for g, (g_src, _) in morph.items():
+        for f, (_, f_dst) in morph.items():
+            if f_dst == g_src:
+                table[(g, f)] = compose(g, f)
+    return table
+
+
+def test_composites_matches_the_pairwise_scan(poset_inclusion):
+    cats = {f"Tw({name})": twisted_arrow(c) for name, c in corpus().items()}
+    cats["slice over 2"] = comma(poset_inclusion, 2)
+    cats["coslice under 0"] = comma(poset_inclusion, 0, coslice=True)
+    cats["identity slice"] = comma(identity_functor(chain_poset(2)), 2)
+    cats["L({0, 1, 2})"] = L_of(frozenset({0, 1, 2}))
+    cats["Q(abp:2:4)"] = q_category(AbPInstance(2, 4)).category
+    for name, c in cats.items():
+        want = pairwise_table(c.morph, c.compose)
+        assert want, name
+        for got in (c.compose_table, fincat.composites(c.morph, c.compose)):
+            assert got == want, name
+            assert list(got) == list(want), name
+
+
+def test_category_pi1_matches_the_nerve():
+    cats = dict(corpus())
+    cats.update({f"Tw({name})": twisted_arrow(c)
+                 for name, c in corpus().items()})
+    cats["bz2 x poset_0<1<2"] = product_category(cyclic_group_category(2),
+                                                 chain_poset(2))
+    for desc in ("vect:2:1", "vect:2:2", "abp:2:4", "abp:3:9"):
+        cats[f"Q({desc})"] = q_category(parse_instance(desc)).category
+    relators = 0
+    for name, c in cats.items():
+        got = fincat.pi1_presentation(c)
+        assert got == nerve(c, 2).pi1_presentation(), name
+        relators += len(got.relators)
+    assert relators > 3000    # Q(abp:3:9) alone has about 3,100
 
 
 # -- the nerve size guard ----------------------------------------------------

@@ -10,12 +10,67 @@ from qcat.cli import main
 from qcat.errors import GuardError
 from qcat.exact import (
     AbPInstance,
+    Instance,
     Mor,
+    Square,
     VectInstance,
+    bicartesian_check,
     span_compose,
     span_from_legs,
+    square_commutes,
 )
 from qcat.fincat import nerve
+from qcat.qcons import AmbigressiveDiagram
+from qcat.simpset import LevelModel
+
+
+# -- diagram checks only the tests use --------------------------------------
+
+
+def egressive_to(d: AmbigressiveDiagram, inst: Instance, i: int, j: int,
+                 l: int) -> Mor:
+    f = inst.identity(d.objects[(i, j)])
+    for col in range(j, l, -1):
+        f = inst.compose(d.epis[(i, col)], f)
+    return f
+
+
+def ingressive_to(d: AmbigressiveDiagram, inst: Instance, i: int, j: int,
+                  k: int) -> Mor:
+    f = inst.identity(d.objects[(i, j)])
+    for row in range(i, k):
+        f = inst.compose(d.monos[(row, j)], f)
+    return f
+
+
+def check_diagram(inst: Instance, d: AmbigressiveDiagram) -> list[str]:
+    """Exhaustive invariant check: leg admissibility and every interior
+    square bicartesian.  Returns problem descriptions, [] when clean."""
+    problems = []
+    for (i, j), e in d.epis.items():
+        if not inst.is_epi(e):
+            problems.append(f"step X_{i}{j} -> X_{i}{j - 1} is not egressive")
+    for (i, j), m in d.monos.items():
+        if not inst.is_mono(m):
+            problems.append(f"step X_{i}{j} -> X_{i + 1}{j} is not ingressive")
+    if problems:
+        return problems
+    for i in range(d.n + 1):
+        for k in range(i + 1, d.n + 1):
+            for l in range(k, d.n + 1):
+                for j in range(l + 1, d.n + 1):
+                    sq = Square(
+                        top=egressive_to(d, inst, i, j, l),
+                        left=ingressive_to(d, inst, i, j, k),
+                        right=ingressive_to(d, inst, i, l, k),
+                        bottom=egressive_to(d, inst, k, j, l))
+                    if not square_commutes(inst, sq):
+                        problems.append(
+                            f"square ({i},{k},{l},{j}) does not commute")
+                    elif not bicartesian_check(inst, sq):
+                        problems.append(
+                            f"square ({i},{k},{l},{j}) is not bicartesian")
+    return problems
 
 
 @pytest.fixture(scope="module")
@@ -154,17 +209,63 @@ def test_k0_report_is_the_depth_two_report_at_any_depth(capsys, descriptor):
     assert reports[4] == reports[2]
 
 
-def test_k0_builds_the_nerve_through_level_two(monkeypatch, ab4):
-    asked = []
+def test_k0_needs_no_depth_on_any_instance(ab4):
+    # the nerve of Q(abp:2:4) has arbitrarily long composable strings, so
+    # a complete nerve was never available there
+    rep = qcons.k0(ab4)
+    assert rep.depth is None
+    assert rep.raw_presentation == qcons.k0(ab4, 2).raw_presentation
+    assert rep.label == "Z"
 
-    def spy(c, depth=None):
-        asked.append(depth)
-        return nerve(c, depth)
 
-    monkeypatch.setattr(qcons, "nerve", spy)
+def test_k0_compiles_no_nerve(monkeypatch, ab4):
+    calls = []
+    nerve_model, compile_model = fincat.nerve_model, LevelModel.compile
+
+    def spy_nerve_model(*args, **kwargs):
+        calls.append("nerve_model")
+        return nerve_model(*args, **kwargs)
+
+    def spy_compile(self):
+        calls.append("compile")
+        return compile_model(self)
+
+    monkeypatch.setattr(fincat, "nerve_model", spy_nerve_model)
+    monkeypatch.setattr(LevelModel, "compile", spy_compile)
     rep = qcons.k0(ab4, depth=4)
-    assert asked == [2]
+    assert calls == []
     assert rep.depth == 4
+
+
+def test_k0_rejects_a_disconnected_span_category(monkeypatch):
+    # without the spans 0 -> X for X != 0 the zero object is isolated:
+    # no span X <<- U >-> 0 leaves a nonzero X either
+    inst = AbPInstance(2, 4)
+    zero = inst.zero_object()
+    all_spans = qcons.all_spans
+
+    def spans_without_zero_out(inst, x, y):
+        return () if x == zero and y != zero else all_spans(inst, x, y)
+
+    monkeypatch.setattr(qcons, "all_spans", spans_without_zero_out)
+    with pytest.raises(ValueError, match="span category is disconnected"):
+        qcons.k0(inst)
+
+
+def test_composition_table_guard_counts_the_pairs_first(monkeypatch, capsys):
+    # Q(abp:2:4) has 28 morphisms and 154 composable pairs
+    argv = ["k0", "--instance", "abp:2:4", "--depth", "2"]
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 153)
+    monkeypatch.setattr(qcons, "span_compose", None)   # never reached
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("qcat k0: guard: composition table: 28 morphisms make "
+                   "154 composable pairs, over the limit of 153\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 154)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["k0"] == "Z"
 
 
 def test_nerve_h1_matches_abelianized_pi1(v1, v2, ab4):
@@ -196,14 +297,14 @@ def test_enumerated_diagrams_pass_the_invariant_check(v1, ab4):
     for inst, tops in ((v1, 3), (ab4, 2)):
         for n in range(tops + 1):
             for d in qcons.enumerate_ambigressive(inst, n):
-                assert qcons.check_diagram(inst, d) == []
+                assert check_diagram(inst, d) == []
 
 
 def test_check_diagram_rejects_inadmissible_leg(v1):
     d = qcons.enumerate_ambigressive(v1, 1)[-1]
     assert d.objects[(0, 0)] == 1
     d.epis[(0, 1)] = Mor(1, 1, ((0,),))
-    problems = qcons.check_diagram(v1, d)
+    problems = check_diagram(v1, d)
     assert any("not egressive" in p for p in problems)
 
 
@@ -213,7 +314,7 @@ def test_check_diagram_rejects_size_violating_corner(ab4):
     # the pullback
     c2, c22 = (1,), (1, 1)
     ident = ab4.identity(c2)
-    d = qcons.AmbigressiveDiagram(
+    d = AmbigressiveDiagram(
         2,
         {(0, 0): c2, (1, 1): c2, (2, 2): c22,
          (0, 1): c2, (1, 2): c22, (0, 2): c2},
@@ -223,7 +324,7 @@ def test_check_diagram_rejects_size_violating_corner(ab4):
         {(0, 1): ident,
          (1, 2): ab4.identity(c22),
          (0, 2): Mor(c2, c22, ((1,), (0,)))})
-    problems = qcons.check_diagram(ab4, d)
+    problems = check_diagram(ab4, d)
     assert problems == ["square (0,1,1,2) is not bicartesian"]
 
 

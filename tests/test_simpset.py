@@ -11,6 +11,7 @@ from qcat.exact import AbPInstance, VectInstance
 from qcat.fincat import nerve_map, nerve_model, twisted_projection
 from qcat.formats import load_category
 from qcat.ordmaps import DeltaMap, all_maps
+from qcat.presentation import GroupPresentation
 from qcat.qcons import q_category
 from qcat.simpset import (
     LevelModel,
@@ -18,16 +19,79 @@ from qcat.simpset import (
     SimplicialSet,
     boundary_of_simplex,
     contractibility,
-    find_isomorphism,
-    fold_map,
     insert_degeneracy,
     left_fibration_check,
     product,
     product_model,
-    simplicial_circle,
     simplicial_set_from_triangulation,
     standard_simplex,
 )
+
+
+# -- spaces and maps only the tests use -----------------------------------
+
+
+def simplicial_circle() -> SimplicialSet:
+    return SimplicialSet({"pt": 0, "loop": 1},
+                         {"loop": (((), "pt"), ((), "pt"))}, None)
+
+
+def fold_map(x: SimplicialSet) -> SimplicialMap:
+    """The codiagonal X + X -> X."""
+    both = x.disjoint_union(x)
+    return SimplicialMap(both, x, {(side, s): ((), s) for side, s in both.dims})
+
+
+# -- isomorphism search ---------------------------------------------------
+
+
+def find_isomorphism(x: SimplicialSet, y: SimplicialSet):
+    """Dimension-by-dimension backtracking; None when not isomorphic."""
+    if x.truncation != y.truncation:
+        return None
+    by_dim_x = {n: x.nondeg(n) for n in range(x.max_nondeg_dim() + 1)}
+    by_dim_y = {n: y.nondeg(n) for n in range(y.max_nondeg_dim() + 1)}
+    if sorted(by_dim_x) != sorted(by_dim_y):
+        return None
+    if any(len(by_dim_x[n]) != len(by_dim_y.get(n, ())) for n in by_dim_x):
+        return None
+
+    order = [s for n in sorted(by_dim_x) for s in by_dim_x[n]]
+    assign: dict = {}
+    used: set = set()
+
+    def value_image(value):
+        word, s = value
+        return (word, assign[s])
+
+    def ok(s, t):
+        n = x.dims[s]
+        if y.dims[t] != n:
+            return False
+        for i in range(n + 1) if n else ():
+            img = value_image(x.face_of(s, i))
+            if y.face_of(t, i) != img:
+                return False
+        return True
+
+    def solve(idx):
+        if idx == len(order):
+            return True
+        s = order[idx]
+        for t in by_dim_y[x.dims[s]]:
+            if t in used:
+                continue
+            if ok(s, t):
+                assign[s] = t
+                used.add(t)
+                if solve(idx + 1):
+                    return True
+                del assign[s]
+                used.remove(t)
+        return False
+
+    return dict(assign) if solve(0) else None
+
 
 RP2_TRIANGLES = [
     (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
@@ -65,6 +129,67 @@ def test_value_counts_match_monotone_map_counts():
         dm = standard_simplex(m)
         for n in range(5):
             assert len(dm.values(n)) == comb(n + m + 1, n + 1)
+
+
+def reference_pi1_presentation(x: SimplicialSet):
+    """`SimplicialSet.pi1_presentation` as it stood before the edge-path
+    routine was shared: the first component found by `components`, and a
+    triangle skipped unless its first vertex lies in that component."""
+    comp = x.components()[0]
+    in_comp = set(comp)
+    adj = {}
+    for e in x.nondeg(1):
+        a, b = x.edge_endpoints(e)
+        if a in in_comp:
+            adj.setdefault(a, []).append((b, e))
+            adj.setdefault(b, []).append((a, e))
+    root = sorted(comp, key=repr)[0]
+    tree_edges = set()
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in sorted(frontier, key=repr):
+            for u, e in sorted(adj.get(v, []),
+                               key=lambda p: (repr(p[0]), repr(p[1]))):
+                if u not in seen:
+                    seen.add(u)
+                    tree_edges.add(e)
+                    nxt.append(u)
+        frontier = nxt
+    gens = [e for e in x.nondeg(1)
+            if e not in tree_edges and x.edge_endpoints(e)[0] in in_comp]
+    gen_names = {e: f"g{k}" for k, e in enumerate(gens)}
+
+    def first_vertex(t):
+        v = ((), t)
+        while x.dim_of(v) > 0:
+            v = x.face(v, x.dim_of(v))
+        return v[1]
+
+    relators = []
+    for t in x.nondeg(2):
+        if first_vertex(t) not in in_comp:
+            continue
+        word = []
+        for (w, e), sign in ((x.face_of(t, 2), 1), (x.face_of(t, 0), 1),
+                             (x.face_of(t, 1), -1)):
+            if not w and e in gen_names:
+                word.append((gen_names[e], sign))
+        relators.append(tuple(word))
+    return GroupPresentation.build(tuple(gen_names.values()), relators)
+
+
+def test_pi1_matches_the_per_component_reference(rp2):
+    bases = [rp2, boundary_of_simplex(3), standard_simplex(2),
+             simplicial_circle(), boundary_of_simplex(2)]
+    spaces = []
+    for a in bases:
+        for b in bases:
+            spaces += [a.disjoint_union(b), a.disjoint_union(b).opposite()]
+    assert len(spaces) == 50
+    for space in spaces:
+        assert space.pi1_presentation() == reference_pi1_presentation(space)
 
 
 def test_boundary_circle_invariants():
