@@ -11,17 +11,20 @@ Morphisms in the span calculus are graph subgroups: the span
 X <- U -> Y with epi left leg and mono right leg embeds into X + Y, and
 the member set of its image W is the unique representative of the span's
 isomorphism class.  Because the right leg is mono, a class is also a
-subgroup V of Y with an epi V ->> X, and `all_spans` enumerates the
-classes that way.  Composition is relation composition of member sets.
-The Hermite key of W (`zmod.subgroup_key`) only orders `all_spans`.
+subgroup V of Y with an epi V ->> X; `all_spans` enumerates the classes
+that way and records each class's legs for `span_legs`.  Composition is
+relation composition of member sets, and the Hermite key of W
+(`zmod.subgroup_key`) only orders `all_spans`.
 Kernels, span apexes and pullbacks are built by `Instance._subobject`,
-cokernels and pushouts by `Instance._quotient`.
+cokernels by `Instance._quotient`.
 """
 
 from __future__ import annotations
 
+from math import gcd, prod
+
 from . import zmod
-from .errors import GuardError
+from .errors import SIZE_LIMIT, GuardError
 from .record import Record
 
 
@@ -290,10 +293,6 @@ class Span(Record):
         return f"Span({self.src!r}->{self.dst!r}, {sorted(self.members)!r})"
 
 
-def _pair_moduli(inst: Instance, x, y):
-    return inst.moduli_of(x) + inst.moduli_of(y)
-
-
 def _graph_ok(inst: Instance, x, y, members) -> tuple[bool, str]:
     nx = len(inst.moduli_of(x))
     proj = {w[:nx] for w in members}
@@ -327,14 +326,13 @@ def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
 
 
 def span_legs(inst: Instance, s: Span):
-    """Unpacks the span as (w, e: w -> src, m: w -> dst)."""
-    legs = inst._span_legs.get(s)
-    if legs is None:
-        w, rows = inst._subobject(_pair_moduli(inst, s.src, s.dst), s.members)
-        nx = len(inst.moduli_of(s.src))
-        legs = inst._span_legs[s] = (w, Mor(w, s.src, rows[:nx]),
-                                     Mor(w, s.dst, rows[nx:]))
-    return legs
+    """The legs (w, e: w ->> src, m: w >-> dst) that `all_spans` built the
+    class s from; raises ValueError if s is no span class of the instance."""
+    if s not in inst._span_legs:
+        all_spans(inst, s.src, s.dst)
+        if s not in inst._span_legs:
+            raise ValueError(f"{s!r} is no span class of {inst.describe()}")
+    return inst._span_legs[s]
 
 
 def identity_span(inst: Instance, x) -> Span:
@@ -357,12 +355,12 @@ def all_spans(inst: Instance, x, y) -> list[Span]:
                 v, rows = inst._subobject(moduli, sub)
                 incls.append(Mor(v, y, rows))
             inst._subobjects[y] = incls
-        out = []
-        for m in incls:
-            out.extend(span_from_legs(inst, e, m) for e in inst.epis(m.src, x))
-        moduli = _pair_moduli(inst, x, y)
+        legs = {span_from_legs(inst, e, m): (m.src, e, m)
+                for m in incls for e in inst.epis(m.src, x)}
+        inst._span_legs.update(legs)
+        moduli = inst.moduli_of(x) + inst.moduli_of(y)
         spans = inst._spans[(x, y)] = tuple(sorted(
-            out, key=lambda s: zmod.subgroup_key(moduli, s.members)))
+            legs, key=lambda s: zmod.subgroup_key(moduli, s.members)))
     return list(spans)
 
 
@@ -460,23 +458,6 @@ def ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
     return _require_ambigressive(inst, sq, "pullback", w, i.dst)
 
 
-def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
-    """Pushout of the span i: Y >-> U, e: Y ->> V: the quotient of U + V
-    by the antidiagonal image of Y.  The returned square has Y at nw and
-    the pushout at se."""
-    _require_legs(inst, i, e, i.src == e.src, "source")
-    # the antidiagonal images of Y's generators: columns of i over -e
-    anti = [(*(r[j] for r in i.rows), *(-r[j] for r in e.rows))
-            for j in range(len(inst.moduli_of(i.src)))]
-    mu = inst.moduli_of(i.dst)
-    w, proj = inst._quotient(mu + inst.moduli_of(e.dst), anti)
-    nu = len(mu)
-    from_u = Mor(i.dst, w, tuple(row[:nu] for row in proj))
-    from_v = Mor(e.dst, w, tuple(row[nu:] for row in proj))
-    sq = Square(top=i, left=e, right=from_u, bottom=from_v)
-    return _require_ambigressive(inst, sq, "pushout", w, i.src)
-
-
 def is_pullback_square(inst: Instance, sq: Square) -> bool:
     """Universal property by exhaustive cone enumeration over every
     object within the instance bounds."""
@@ -546,6 +527,12 @@ class TripleReport(Record):
         self.failures = failures
 
 
+def _require_count(count: int, what: str):
+    if count > SIZE_LIMIT:
+        raise GuardError(f"triple verification: {count} {what}, over the "
+                         f"limit of {SIZE_LIMIT}")
+
+
 def verify_triple(inst: Instance) -> TripleReport:
     """For every cospan (mono into Y, epi onto Y): the ambigressive
     pullback exists within bounds, pulling back the epi gives an epi,
@@ -553,9 +540,20 @@ def verify_triple(inst: Instance) -> TripleReport:
 
     The leg classes are read from `inst.epis` and `inst.monos`, so an
     instance whose classes are corrupted (say `inst.epis = inst.hom`)
-    is checked as it stands.
+    is checked as it stands.  The maps those walk are counted before any
+    is listed, and the cospans before any is checked, each held to
+    SIZE_LIMIT.
     """
     objs = inst.objects()
+    # monos and epis each walk every hom(v, y), whose entry (i, j) takes
+    # gcd(n_i, m_j) values
+    _require_count(2 * sum(prod(gcd(n, m) for n in inst.moduli_of(y)
+                                for m in inst.moduli_of(v))
+                           for v in objs for y in objs), "maps")
+    by_target = [(y, [i for u in objs for i in inst.monos(u, y)],
+                  [e for v in objs for e in inst.epis(v, y)]) for y in objs]
+    _require_count(sum(len(monos) * len(epis) for _, monos, epis in by_target),
+                   "cospans")
     bounded = set(objs)
     # the fiber product W = {(x, w) : i(x) = e(w)} is never listed: the
     # order of (x, w) is max(ord x, ord w), so W's counts are sums over
@@ -567,58 +565,56 @@ def verify_triple(inst: Instance) -> TripleReport:
     typed = {}  # W's killed counts -> its object, None if it has none
     failures = []
     checked = 0
-    for y in objs:
+    for y, monos, epis in by_target:
         y_order = inst.order(y)
         zero_y = zmod.zero(inst.moduli_of(y))
-        # every epi onto y, once, with its fibers: image -> [#preimages
-        # killed by p^k for k = 0..top]
-        epis = []
-        for v in objs:
-            for e in inst.epis(v, y):
-                fibers = {}
-                for w, o in zip(inst.elements(v), ords[v]):
-                    cum = fibers.setdefault(inst.apply(e, w), [0] * (top + 1))
-                    for k in range(o, top + 1):
-                        cum[k] += 1
-                epis.append((v, inst.order(v), fibers))
-        for u in objs:
+        # every epi onto y with its fibers: image -> [#preimages killed by
+        # p^k for k = 0..top]
+        fibered = []
+        for e in epis:
+            fibers = {}
+            for w, o in zip(inst.elements(e.src), ords[e.src]):
+                cum = fibers.setdefault(inst.apply(e, w), [0] * (top + 1))
+                for k in range(o, top + 1):
+                    cum[k] += 1
+            fibered.append((e.src, inst.order(e.src), fibers))
+        for i in monos:
+            u = i.src
             u_order = inst.order(u)
-            for i in inst.monos(u, y):
-                images = [inst.apply(i, x) for x in inst.elements(u)]
-                # (x, 0) lies in W exactly when i(x) = e(0) = 0
-                mono = images.count(zero_y) == 1
-                for v, v_order, fibers in epis:
-                    checked += 1
-                    # killed[k] = #members of W killed by p^k; |W| at top
-                    killed = [0] * (top + 1)
-                    for im, o in zip(images, ords[u]):
-                        cum = fibers.get(im, empty)
-                        for k in range(o, top + 1):
-                            killed[k] += cum[k]
-                    problems = []
-                    if killed[top] * y_order != u_order * v_order:
-                        problems.append("size identity fails")
-                    if not all(im in fibers for im in images):
-                        problems.append("pulled-back epi is not epi")
-                    if not mono:
-                        problems.append("pulled-back mono is not mono")
-                    key = tuple(killed)
-                    if key not in typed:
-                        struct = zmod.structure_from_killed(killed, inst.p)
-                        try:
-                            typed[key] = inst.object_of_structure(struct)
-                        except ValueError:
-                            typed[key] = None
-                    w_obj = typed[key]
-                    if w_obj is None or w_obj not in bounded:
-                        problems.append("pullback escapes bounds")
-                    if problems:
-                        where = (f"i: {inst.label(u)}>->{inst.label(y)}, "
-                                 f"e: {inst.label(v)}->>{inst.label(y)}")
-                        failures.extend(f"{where}: {why}" for why in problems)
-                        if len(failures) >= 5:
-                            return TripleReport(False, checked,
-                                                tuple(failures))
+            images = [inst.apply(i, x) for x in inst.elements(u)]
+            # (x, 0) lies in W exactly when i(x) = e(0) = 0
+            mono = images.count(zero_y) == 1
+            for v, v_order, fibers in fibered:
+                checked += 1
+                # killed[k] = #members of W killed by p^k; |W| at top
+                killed = [0] * (top + 1)
+                for im, o in zip(images, ords[u]):
+                    cum = fibers.get(im, empty)
+                    for k in range(o, top + 1):
+                        killed[k] += cum[k]
+                problems = []
+                if killed[top] * y_order != u_order * v_order:
+                    problems.append("size identity fails")
+                if not all(im in fibers for im in images):
+                    problems.append("pulled-back epi is not epi")
+                if not mono:
+                    problems.append("pulled-back mono is not mono")
+                key = tuple(killed)
+                if key not in typed:
+                    struct = zmod.structure_from_killed(killed, inst.p)
+                    try:
+                        typed[key] = inst.object_of_structure(struct)
+                    except ValueError:
+                        typed[key] = None
+                w_obj = typed[key]
+                if w_obj is None or w_obj not in bounded:
+                    problems.append("pullback escapes bounds")
+                if problems:
+                    where = (f"i: {inst.label(u)}>->{inst.label(y)}, "
+                             f"e: {inst.label(v)}->>{inst.label(y)}")
+                    failures.extend(f"{where}: {why}" for why in problems)
+                    if len(failures) >= 5:
+                        return TripleReport(False, checked, tuple(failures))
     return TripleReport(not failures, checked, tuple(failures))
 
 

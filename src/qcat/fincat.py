@@ -9,7 +9,7 @@ set it returns is complete; otherwise a truncation depth is required.
 
 from __future__ import annotations
 
-from .errors import GuardError
+from .errors import SIZE_LIMIT as NERVE_LEVEL_LIMIT, GuardError
 from .ordmaps import DeltaMap
 from .simpset import (LevelModel, SimplicialMap, SimplicialSet,
                       edge_path_presentation)
@@ -265,13 +265,7 @@ def nerve_action(c: FiniteCategory, f: DeltaMap):
 
 
 def _nerve_levels(c: FiniteCategory, n: int):
-    if n == 0:
-        return list(c.objects)
-    strings = [(m,) for m in c.morphisms()]
-    for _ in range(n - 1):
-        strings = [s + (m,) for s in strings
-                   for m in c.morphisms_from(c.dst(s[-1]))]
-    return strings
+    return strings(c.objects, {m: c.morph[m] for m in c.morphisms()}, n, "nerve")
 
 
 def _string_counts(objects, arrows):
@@ -288,20 +282,32 @@ def _string_counts(objects, arrows):
         ending = nxt
 
 
-# The most strings one nerve level may hold.  Compiling a level keeps every
-# string, its faces and their values in memory; Q(abp:2:8) at depth 3 would
-# need 8,831,325 strings at level 3 and exhausts memory long before that.
-NERVE_LEVEL_LIMIT = 1_000_000
-
-
-def _require_nerve_size(c: FiniteCategory, max_dim: int):
-    """Raise GuardError if a nerve level through max_dim would hold more
-    than NERVE_LEVEL_LIMIT strings."""
-    for n, count in zip(range(max_dim + 1),
-                        _string_counts(c.objects, c.morph.values())):
+def require_strings(stage: str, objects, arrows, top: int):
+    """Raise GuardError, naming `stage`, if a nerve level through `top` of
+    the graph `arrows` (id -> (source, target)) is over NERVE_LEVEL_LIMIT."""
+    for n, count in zip(range(top + 1),
+                        _string_counts(objects, arrows.values())):
         if count > NERVE_LEVEL_LIMIT:
-            raise GuardError(f"nerve: level {n} would hold {count} strings, "
-                             f"over the limit of {NERVE_LEVEL_LIMIT}")
+            raise GuardError(f"{stage}: level {n} would hold {count} "
+                             f"strings, over the limit of {NERVE_LEVEL_LIMIT}")
+
+
+def strings(objects, arrows, n: int, stage: str) -> list:
+    """Level n of the nerve of the graph `arrows` (id -> (source, target)):
+    the objects when n is 0, else strings of n ids, each id running in
+    `arrows` order over the arrows leaving the end of the string so far.
+    Levels 0..n are held to `require_strings` before any is built."""
+    require_strings(stage, objects, arrows, n)
+    if n == 0:
+        return list(objects)
+    leaving = {}
+    for a, (s, _) in arrows.items():
+        leaving.setdefault(s, []).append(a)
+    out = [(a,) for a in arrows]
+    for _ in range(n - 1):
+        out = [t + (a,) for t in out
+               for a in leaving.get(arrows[t[-1]][1], ())]
+    return out
 
 
 def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
@@ -323,7 +329,7 @@ def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
         raise ValueError(
             "category has arbitrarily long composable strings; "
             "pass an explicit nerve depth")
-    _require_nerve_size(c, max_dim)
+    require_strings("nerve", c.objects, c.morph, max_dim)
     return LevelModel(
         levels=lambda n: _nerve_levels(c, n),
         act=lambda f: nerve_action(c, f),
@@ -342,7 +348,8 @@ def nerve_map(fun: FunctorData, depth: int | None = None) -> SimplicialMap:
     # the image of a long identity-free string can involve identities, so
     # the target model must be compiled at least as deep as the source
     if dst_model.max_dim < src_model.max_dim:
-        _require_nerve_size(fun.target, src_model.max_dim)
+        require_strings("nerve", fun.target.objects, fun.target.morph,
+                        src_model.max_dim)
         dst_model = LevelModel(dst_model.levels, dst_model.act,
                                src_model.max_dim, dst_model.truncation)
 
@@ -409,7 +416,7 @@ def nerve_twisted_vs_edgewise(c: FiniteCategory, depth: int = 3):
     """
     from .delta import EDGEWISE
     require_category(c)
-    _require_nerve_size(c, 2 * depth + 1)
+    require_strings("nerve", c.objects, c.morph, 2 * depth + 1)
     tw = twisted_arrow(c)
 
     def flatten(token, n):

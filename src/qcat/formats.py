@@ -99,28 +99,6 @@ def dump_sset(ss: SimplicialSet) -> str:
     return _canon(data)
 
 
-def relabel_to_strings(ss: SimplicialSet) -> SimplicialSet:
-    """Rename simplices to writable string ids.
-
-    Tuples become dot-joined strings, anything else goes through str();
-    a collision is an error rather than a silent merge.
-    """
-    names = {}
-    for x in ss.dims:
-        if isinstance(x, str):
-            names[x] = x
-        elif isinstance(x, tuple):
-            names[x] = ".".join(str(v) for v in x)
-        else:
-            names[x] = str(x)
-    if len(set(names.values())) != len(names):
-        raise ValueError("relabeling would merge distinct simplex ids")
-    dims = {names[x]: n for x, n in ss.dims.items()}
-    faces = {names[x]: tuple((w, names[t]) for (w, t) in fs)
-             for x, fs in ss.faces.items()}
-    return SimplicialSet(dims, faces, ss.truncation)
-
-
 # -- finite categories -----------------------------------------------------
 
 

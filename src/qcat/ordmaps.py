@@ -67,9 +67,6 @@ class DeltaMap(Record):
         a, b = self.source_arity, self.target_arity
         return DeltaMap(a, b, tuple(b - self.values[a - i] for i in range(a + 1)))
 
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
-
     def is_surjective(self) -> bool:
         return set(self.values) == set(range(self.target_arity + 1))
 
@@ -97,20 +94,3 @@ def all_maps(a: int, b: int):
     """All monotone maps [a] -> [b], in lexicographic order of value tuples."""
     for values in combinations_with_replacement(range(b + 1), a + 1):
         yield DeltaMap(a, b, values)
-
-
-def surjection_of_word(word: tuple[int, ...], n: int) -> DeltaMap:
-    """The surjection [n] ->> [n - len(word)] named by a degeneracy word.
-
-    `word` lists indices of s_{j} operators, leftmost applied last, so the
-    map is codegeneracy(word[-1]) ; ... ; codegeneracy(word[0]) read as a
-    composite in the simplex category.
-    """
-    m = n - len(word)
-    f = DeltaMap.identity(m)
-    level = m
-    for j in reversed(word):
-        f = f.compose(DeltaMap.codegeneracy(j, level))
-        level += 1
-    # the composite above has source [n]
-    return DeltaMap(n, m, f.values)

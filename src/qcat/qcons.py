@@ -8,10 +8,10 @@ presentation is read off its arrows and composition table.
 
 Ambigressive diagrams (the triangular grids whose elementary squares are
 all ambigressive pullbacks) are grown from spine strings corner by corner.
-A corner's fillers come from the same span table as the strings, but
-every span class of the corner's pair is tried and the fillers are
-counted, not assumed unique, so the spine comparison against composable
-span strings still checks that each corner has exactly one filler.
+A corner's fillers are the span classes of its pair whose graph is the
+corner's pullback graph, but every class of the pair is compared and the
+fillers are counted, not assumed unique, so the spine comparison against
+composable span strings still checks that each corner has one filler.
 """
 
 from . import fincat
@@ -135,26 +135,13 @@ class AmbigressiveDiagram:
 
 
 def _spine_strings(inst: Instance, n: int):
-    """Composable strings of n span classes, deterministic order.  They
-    are level n of the span category's nerve, so each level is counted
-    and held to the nerve's level limit before any string is built."""
+    """Composable strings of n span classes, as tuples of spans: level n
+    of the span category's nerve, each level counted and held to the
+    nerve's level limit before any string is built."""
     objs = inst.objects()
-    spans = {(x, y): all_spans(inst, x, y) for x in objs for y in objs}
-    arrows = [pair for pair, ss in spans.items() for _ in ss]
-    for level, count in zip(range(n + 1), fincat._string_counts(objs, arrows)):
-        if count > fincat.NERVE_LEVEL_LIMIT:
-            raise GuardError(f"segal spine: level {level} would hold {count} "
-                             f"strings, over the limit of "
-                             f"{fincat.NERVE_LEVEL_LIMIT}")
-    strings = [((x,), ()) for x in objs]
-    for _ in range(n):
-        nxt = []
-        for verts, ss in strings:
-            for y in objs:
-                for s in spans[(verts[-1], y)]:
-                    nxt.append((verts + (y,), ss + (s,)))
-        strings = nxt
-    return strings
+    return fincat.strings(objs, {s: (x, y) for x in objs for y in objs
+                                 for s in all_spans(inst, x, y)},
+                          n, "segal spine")
 
 
 def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
@@ -166,17 +153,19 @@ def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
          sw_obj -bottom-> se_obj
 
     up to an iso of X over both legs, as (X, e, m).  Such a class is a
-    span class ne_obj <<- X >-> sw_obj; each one is tried, and it fills
-    the corner when |X| |se_obj| = |ne_obj| |sw_obj| and right(a) =
-    bottom(b) for every member (a, b) of its graph."""
-    target = inst.order(ne_obj) * inst.order(sw_obj)
-    se_order = inst.order(se_obj)
-    right_of = {a: inst.apply(right, a) for a in inst.elements(ne_obj)}
-    bottom_of = {b: inst.apply(bottom, b) for b in inst.elements(sw_obj)}
-    nx = len(inst.moduli_of(ne_obj))
+    span class ne_obj <<- X >-> sw_obj of order |ne_obj| |sw_obj| / |se_obj|
+    with its graph in the pullback graph P = {(a, b) : right(a) = bottom(b)}.
+    P has that order when bottom is epi, so the fillers are the classes
+    whose graph is P; every class of the pair is compared with it."""
+    fiber = {}
+    for b in inst.elements(sw_obj):
+        fiber.setdefault(inst.apply(bottom, b), []).append(b)
+    graph = frozenset((*a, *b) for a in inst.elements(ne_obj)
+                      for b in fiber.get(inst.apply(right, a), ()))
+    if len(graph) * inst.order(se_obj) != inst.order(ne_obj) * inst.order(sw_obj):
+        return []
     return [span_legs(inst, s) for s in all_spans(inst, ne_obj, sw_obj)
-            if len(s.members) * se_order == target
-            and all(right_of[w[:nx]] == bottom_of[w[nx:]] for w in s.members)]
+            if s.members == graph]
 
 
 def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
@@ -191,30 +180,25 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
                 for x in inst.objects()]
 
     out = []
-    for verts, spine in _spine_strings(inst, n):
-        base = AmbigressiveDiagram(
-            n,
-            {(i, i): verts[i] for i in range(n + 1)},
-            {},
-            {})
-        for t, s in enumerate(spine):
-            u, e, m = span_legs(inst, s)
-            base.objects[(t, t + 1)] = u
-            base.epis[(t, t + 1)] = e
-            base.monos[(t, t + 1)] = m
-        # fill levels outward; each cell's fillers are independent classes
-        # because the mono legs make relabeling isos unique
-        partials = [base]
-        for dist in range(2, n + 1):
+    for spine in _spine_strings(inst, n):
+        verts = (spine[0].src, *(s.dst for s in spine))
+        partials = [AmbigressiveDiagram(
+            n, {(i, i): v for i, v in enumerate(verts)}, {}, {})]
+        # fill levels outward: the spine's spans at distance 1, then the
+        # corners; each cell's fillers are independent classes because the
+        # mono legs make relabeling isos unique
+        for dist in range(1, n + 1):
             for i in range(0, n - dist + 1):
                 j = i + dist
                 grown = []
                 for d in partials:
-                    fillers = _corner_classes(
-                        inst,
-                        d.objects[(i, j - 1)], d.objects[(i + 1, j)],
-                        d.objects[(i + 1, j - 1)],
-                        d.monos[(i, j - 1)], d.epis[(i + 1, j)])
+                    if dist == 1:
+                        fillers = [span_legs(inst, spine[i])]
+                    else:
+                        fillers = _corner_classes(
+                            inst, d.objects[(i, j - 1)], d.objects[(i + 1, j)],
+                            d.objects[(i + 1, j - 1)], d.monos[(i, j - 1)],
+                            d.epis[(i + 1, j)])
                     for v, e, m in fillers:
                         d2 = AmbigressiveDiagram(
                             n, dict(d.objects), dict(d.epis), dict(d.monos))

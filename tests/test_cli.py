@@ -183,6 +183,57 @@ def test_heavier_k0_reports_match_their_recorded_digests():
     assert fresh_digests(K0_REPORTS) == K0_REPORTS
 
 
+# Recorded like K0_REPORTS, before the spine strings and the corner fillers
+# were read off the span table.
+SEGAL_REPORTS = {
+    "segal --instance abp:3:9 --n 2": {
+        "exit": 0,
+        "sha256": "3e7a968d57888d467512a647daafccef"
+                  "47f2634cd39f8a4d34b2bfcfbb018e10"},
+    "segal --instance abp:2:4 --n 3": {
+        "exit": 0,
+        "sha256": "30642cb76e545d3321227dc9153f155f"
+                  "aa6e76bfbd63fcb7548b3326c3ba90df"},
+    "segal --instance vect:2:2 --n 3": {
+        "exit": 0,
+        "sha256": "23a7142a77725f6d5df90065d34044d8"
+                  "5440eccce2f0c6574a7a59bdcf2ff087"},
+}
+
+
+def test_segal_reports_match_their_recorded_digests():
+    assert fresh_digests(SEGAL_REPORTS) == SEGAL_REPORTS
+
+
+def test_triple_verification_counts_the_maps_before_listing_any():
+    # abp:2:32 would list 77,020,054 maps; the count alone is instant
+    done = run_fresh("check-instance", "--instance", "abp:2:32")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == ("qcat check-instance: guard: triple verification: "
+                           "77020054 maps, over the limit of 1000000\n")
+
+
+@pytest.mark.parametrize("descriptor,limit,what", [
+    ("vect:2:2", 70, "cospans"),     # 62 maps, 71 cospans
+    ("abp:2:4", 97, "maps"),         # 98 maps, 82 cospans
+])
+def test_triple_verification_guard_reads_the_size_limit(monkeypatch, capsys,
+                                                        descriptor, limit,
+                                                        what):
+    from qcat import exact
+
+    argv = ("check-instance", "--instance", descriptor)
+    monkeypatch.setattr(exact, "SIZE_LIMIT", limit)
+    assert run(capsys, *argv) == (
+        1, "", f"qcat check-instance: guard: triple verification: "
+               f"{limit + 1} {what}, over the limit of {limit}\n")
+    monkeypatch.setattr(exact, "SIZE_LIMIT", limit + 1)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out)["passed"]
+
+
 @pytest.mark.parametrize("probe", ["c0", "c00"])
 def test_zero_order_probe_exits_two(probe):
     done = run_fresh("devissage", "--source", "vect:2:2", "--target",

@@ -10,18 +10,67 @@ from collections import Counter
 import pytest
 
 from qcat.deviss import (
+    ExactEmbedding,
     IdentityEmbedding,
     VectToAbP,
     admissible_filtration,
-    check_embedding,
     comma_over,
     devissage_certificate,
     q_functor,
     relative_q_objects,
 )
 from qcat.errors import GuardError
-from qcat.exact import AbPInstance, Mor, VectInstance
+from qcat.exact import (AbPInstance, Mor, Square, VectInstance, bicartesian_check,
+                        exact_sequence_squares)
 from qcat.simpset import contractibility
+
+
+# -- embedding check only the tests use ----------------------------------
+
+
+def check_embedding(psi: ExactEmbedding) -> list[str]:
+    """Exhaustive exactness spot-check on the source's bounded contents."""
+    s, t = psi.source, psi.target
+    problems = []
+    if psi.on_object(s.zero_object()) != t.zero_object():
+        problems.append("zero object not preserved")
+    homs = {}
+    for x in s.objects():
+        for y in s.objects():
+            homs[(x, y)] = s.hom(x, y)
+            for f in homs[(x, y)]:
+                g = psi.on_mor(f)
+                if (g.src, g.dst) != (psi.on_object(x), psi.on_object(y)):
+                    problems.append(f"image of {f!r} has wrong endpoints")
+                if s.is_mono(f) and not t.is_mono(g):
+                    problems.append(f"ingressive {f!r} loses its class")
+                if s.is_epi(f) and not t.is_epi(g):
+                    problems.append(f"egressive {f!r} loses its class")
+        if psi.on_mor(s.identity(x)) != t.identity(psi.on_object(x)):
+            problems.append(f"identity of {x!r} not preserved")
+    for (x, y), fs in homs.items():
+        for z in s.objects():
+            for f in fs:
+                for g in homs[(y, z)]:
+                    if psi.on_mor(s.compose(g, f)) != \
+                            t.compose(psi.on_mor(g), psi.on_mor(f)):
+                        problems.append(
+                            f"composition not preserved at ({g!r}, {f!r})")
+    for x in s.objects():
+        for y in s.objects():
+            try:
+                sum_s = s.direct_sum(x, y)[0]
+            except GuardError:
+                continue
+            sum_t = t.direct_sum(psi.on_object(x), psi.on_object(y))[0]
+            if psi.on_object(sum_s) != sum_t:
+                problems.append(f"direct sum of {x!r}, {y!r} not preserved")
+    for sq in exact_sequence_squares(s):
+        mapped = Square(psi.on_mor(sq.top), psi.on_mor(sq.left),
+                        psi.on_mor(sq.right), psi.on_mor(sq.bottom))
+        if not bicartesian_check(t, mapped):
+            problems.append("a bicartesian square loses bicartesianness")
+    return problems
 
 
 @pytest.fixture(scope="module")

@@ -12,13 +12,16 @@ from qcat import exact, zmod
 from qcat.errors import GuardError
 from qcat.exact import (
     AbPInstance,
+    Instance,
+    _require_ambigressive,
+    _require_legs,
     Mor,
+    Span,
     Square,
     TripleReport,
     VectInstance,
     all_spans,
     ambigressive_pullback,
-    ambigressive_pushout,
     bicartesian_check,
     exact_sequence_squares,
     identity_span,
@@ -33,6 +36,23 @@ from qcat.exact import (
 )
 from qcat.snf import smith_diagonal
 from test_zmod import closure, structure_of
+
+
+def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
+    """Pushout of the span i: Y >-> U, e: Y ->> V: the quotient of U + V
+    by the antidiagonal image of Y.  The returned square has Y at nw and
+    the pushout at se."""
+    _require_legs(inst, i, e, i.src == e.src, "source")
+    # the antidiagonal images of Y's generators: columns of i over -e
+    anti = [(*(r[j] for r in i.rows), *(-r[j] for r in e.rows))
+            for j in range(len(inst.moduli_of(i.src)))]
+    mu = inst.moduli_of(i.dst)
+    w, proj = inst._quotient(mu + inst.moduli_of(e.dst), anti)
+    nu = len(mu)
+    from_u = Mor(i.dst, w, tuple(row[:nu] for row in proj))
+    from_v = Mor(e.dst, w, tuple(row[nu:] for row in proj))
+    sq = Square(top=i, left=e, right=from_u, bottom=from_v)
+    return _require_ambigressive(inst, sq, "pushout", w, i.src)
 
 
 @pytest.fixture(scope="module")
@@ -265,13 +285,32 @@ def test_span_compose_matches_the_hermite_key_oracle(descriptor):
     assert pairs > 0
 
 
-def test_span_legs_round_trip(ab4):
-    for x in ab4.objects():
-        for y in ab4.objects():
-            for s in all_spans(ab4, x, y):
-                w, e, m = span_legs(ab4, s)
-                assert ab4.is_epi(e) and ab4.is_mono(m)
-                assert span_from_legs(ab4, e, m) == s
+def test_span_legs_round_trip(ab4, v2):
+    # the legs are the ones all_spans built the class from: V >-> y for a
+    # subgroup V of y, and an epi V ->> x
+    for inst in (ab4, v2):
+        for x in inst.objects():
+            for y in inst.objects():
+                for s in all_spans(inst, x, y):
+                    w, e, m = span_legs(inst, s)
+                    assert (e.src, e.dst, m.src, m.dst) == (w, x, w, y)
+                    assert inst.is_epi(e) and inst.is_mono(m)
+                    assert span_from_legs(inst, e, m) == s
+
+
+def test_span_legs_lists_the_pair_on_a_fresh_instance():
+    inst = AbPInstance(2, 4)
+    s = span_from_legs(inst, inst.identity((1,)), Mor((1,), (2,), ((2,),)))
+    w, e, m = span_legs(inst, s)
+    assert inst._spans.keys() == {((1,), (2,))}
+    assert span_from_legs(inst, e, m) == s
+
+
+def test_span_legs_rejects_a_graph_that_is_no_class(ab4):
+    # the graph of the zero map Z/2 -> Z/2 has a right leg with a kernel
+    bogus = Span((1,), (1,), frozenset({(0, 0), (1, 0)}))
+    with pytest.raises(ValueError, match=r"is no span class of abp:2:4"):
+        span_legs(ab4, bogus)
 
 
 def test_span_composition_unital_and_associative(v1, ab4):

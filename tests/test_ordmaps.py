@@ -4,7 +4,28 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from qcat.ordmaps import DeltaMap, all_maps, surjection_of_word
+from qcat.ordmaps import DeltaMap, all_maps
+
+
+def is_injective(f: DeltaMap) -> bool:
+    return len(set(f.values)) == len(f.values)
+
+
+def surjection_of_word(word: tuple[int, ...], n: int) -> DeltaMap:
+    """The surjection [n] ->> [n - len(word)] named by a degeneracy word.
+
+    `word` lists indices of s_{j} operators, leftmost applied last, so the
+    map is codegeneracy(word[-1]) ; ... ; codegeneracy(word[0]) read as a
+    composite in the simplex category.
+    """
+    m = n - len(word)
+    f = DeltaMap.identity(m)
+    level = m
+    for j in reversed(word):
+        f = f.compose(DeltaMap.codegeneracy(j, level))
+        level += 1
+    # the composite above has source [n]
+    return DeltaMap(n, m, f.values)
 
 
 def apply_ops_to_vertex_tuple(ops, verts):
@@ -26,7 +47,7 @@ def apply_ops_to_vertex_tuple(ops, verts):
 def test_identity_and_call():
     f = DeltaMap.identity(3)
     assert [f(i) for i in range(4)] == [0, 1, 2, 3]
-    assert f.is_injective() and f.is_surjective()
+    assert is_injective(f) and f.is_surjective()
 
 
 def test_validation_rejects_bad_maps():

@@ -14,9 +14,12 @@ from qcat.exact import (
     Mor,
     Square,
     VectInstance,
+    all_spans,
     bicartesian_check,
+    parse_instance,
     span_compose,
     span_from_legs,
+    span_legs,
     square_commutes,
 )
 from qcat.fincat import nerve
@@ -435,6 +438,90 @@ def test_corner_fillers_match_the_orbit_search_oracle(monkeypatch, desc, n,
     assert qcons.segal_spine_check(inst, n).passed
     assert len(filled) == corners
     # the filler of a corner is its pullback, found once
+    assert set(filled) == {1}
+
+
+# -- the spine walk and corner filter that the span table replaced ----------
+
+
+def reference_spine_strings(inst: Instance, n: int):
+    """Composable strings of n span classes, deterministic order.  They
+    are level n of the span category's nerve, so each level is counted
+    and held to the nerve's level limit before any string is built."""
+    objs = inst.objects()
+    spans = {(x, y): all_spans(inst, x, y) for x in objs for y in objs}
+    arrows = [pair for pair, ss in spans.items() for _ in ss]
+    for level, count in zip(range(n + 1), fincat._string_counts(objs, arrows)):
+        if count > fincat.NERVE_LEVEL_LIMIT:
+            raise GuardError(f"segal spine: level {level} would hold {count} "
+                             f"strings, over the limit of "
+                             f"{fincat.NERVE_LEVEL_LIMIT}")
+    strings = [((x,), ()) for x in objs]
+    for _ in range(n):
+        nxt = []
+        for verts, ss in strings:
+            for y in objs:
+                for s in spans[(verts[-1], y)]:
+                    nxt.append((verts + (y,), ss + (s,)))
+        strings = nxt
+    return strings
+
+
+def reference_corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor,
+                             bottom: Mor):
+    """All fillers X of the elementary square
+
+            X --e-->  ne_obj
+            |m          |right
+            v           v
+         sw_obj -bottom-> se_obj
+
+    up to an iso of X over both legs, as (X, e, m).  Such a class is a
+    span class ne_obj <<- X >-> sw_obj; each one is tried, and it fills
+    the corner when |X| |se_obj| = |ne_obj| |sw_obj| and right(a) =
+    bottom(b) for every member (a, b) of its graph."""
+    target = inst.order(ne_obj) * inst.order(sw_obj)
+    se_order = inst.order(se_obj)
+    right_of = {a: inst.apply(right, a) for a in inst.elements(ne_obj)}
+    bottom_of = {b: inst.apply(bottom, b) for b in inst.elements(sw_obj)}
+    nx = len(inst.moduli_of(ne_obj))
+    return [span_legs(inst, s) for s in all_spans(inst, ne_obj, sw_obj)
+            if len(s.members) * se_order == target
+            and all(right_of[w[:nx]] == bottom_of[w[nx:]] for w in s.members)]
+
+
+@pytest.mark.parametrize("desc", ["abp:2:4", "vect:2:2"])
+def test_spine_strings_match_the_walk_they_replaced(desc):
+    # the spine strings are tuples of spans; their vertices are read off
+    # the spans, and level 0 is the objects
+    inst = parse_instance(desc)
+    for n in range(4):
+        got = qcons._spine_strings(inst, n)
+        if n == 0:
+            read = [((x,), ()) for x in got]
+        else:
+            read = [((s[0].src, *(t.dst for t in s)), s) for s in got]
+        assert read == reference_spine_strings(inst, n), n
+
+
+@pytest.mark.parametrize("desc,n,corners", [
+    ("abp:2:4", 2, 154), ("abp:2:4", 3, 3 * 852), ("vect:2:2", 3, 3 * 793),
+    ("abp:3:9", 2, 3538)])
+def test_corner_fillers_match_the_member_test_they_replaced(monkeypatch, desc,
+                                                            n, corners):
+    inst = parse_instance(desc)
+    real = qcons._corner_classes
+    filled = []
+
+    def checked(inst_, *corner):
+        got = real(inst_, *corner)
+        assert got == reference_corner_classes(inst_, *corner)
+        filled.append(len(got))
+        return got
+
+    monkeypatch.setattr(qcons, "_corner_classes", checked)
+    assert qcons.segal_spine_check(inst, n).passed
+    assert len(filled) == corners
     assert set(filled) == {1}
 
 
