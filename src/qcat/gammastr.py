@@ -2,9 +2,14 @@
 
 Finite sets with basepoint-absorbing partial maps form the indexing
 category for direct-sum structures.  This module builds that category's
-arrows, the smash product, the contravariant cut functor from monotone
-maps, retraction sets, and the subset categories with their restriction
-functors.  Everything is small enough to verify exhaustively.
+arrows, the contravariant cut functor from monotone maps with its
+smashed powers, retraction sets, and the subset categories with their
+restriction functors.  Everything is small enough to verify exhaustively.
+
+The exhaustive checks compare cut actions as integer cut tables.  The
+cuts of each [n] are numbered in sorted order; the table of a monotone
+map g, read off `u_on_maps(g)`, holds for each cut of its target the
+number of its image, or -1 for the basepoint.  Sets of cuts are bitmasks.
 """
 
 from itertools import combinations, product as iproduct
@@ -84,15 +89,6 @@ def lam_preimage(phi: LambdaMorphism, subset) -> frozenset:
     """Elements of the source landing inside `subset` (never the
     basepoint)."""
     return frozenset(x for x in phi.source if phi(x) in subset)
-
-
-# -- smash product -------------------------------------------------------
-
-
-def smash(i, j) -> frozenset:
-    """Product of underlying sets; basepoints of the factors collapse,
-    which is why there is no extra point to track."""
-    return frozenset((a, b) for a in i for b in j)
 
 
 # -- the cut functor -----------------------------------------------------
@@ -220,68 +216,107 @@ class CheckReport:
         return not self.failures
 
 
+def _cut_tables(maps):
+    """The cut numbers of each ordinal the maps touch, and their tables."""
+    numbers, tables = {}, []
+    for g in maps:
+        for n in (g.source_arity, g.target_arity):
+            if n not in numbers:
+                numbers[n] = {cut: k for k, cut in
+                              enumerate(sorted(u_on_objects(n)))}
+        u, into = u_on_maps(g), numbers[g.source_arity]
+        tables.append(tuple(-1 if u(cut) is BASEPOINT else into[u(cut)]
+                            for cut in numbers[g.target_arity]))
+    return numbers, tables
+
+
+def smash_table(t1, t2, width: int) -> tuple:
+    """The cut table of u(g1) smash u(g2) from those of g1 and g2: cut pair
+    (k1, k2) is entry k1 * len(t2) + k2, image pair (j1, j2) j1 * width + j2."""
+    return tuple(-1 if j1 < 0 or j2 < 0 else j1 * width + j2
+                 for j1 in t1 for j2 in t2)
+
+
+def _preimage(table, mask: int) -> int:
+    """The cuts a table sends into a set of cuts, both as bitmasks."""
+    return sum(1 << k for k, j in enumerate(table) if j >= 0 and mask >> j & 1)
+
+
+def _spread(mask: int, width: int) -> int:
+    """Bit k moved to k * width; times a mask m2 of that width it is the
+    smash of the two, pair (k1, k2) at bit k1 * width + k2."""
+    return sum(1 << k * width for k in range(mask.bit_length())
+               if mask >> k & 1)
+
+
 def u_functoriality_report(max_arity: int) -> CheckReport:
     """Exhaustively compare u(g o h) with u(h) o u(g) over all
-    composable pairs of monotone maps with arities up to max_arity."""
+    composable pairs of monotone maps with arities up to max_arity,
+    as cut tables: u(h) o u(g) reads h's table at each entry of g's."""
     if max_arity < 0:
         raise ValueError("max arity must be nonnegative")
-    cache = {}
-
-    def u_of(g):
-        u = cache.get(g)
-        if u is None:
-            u = cache[g] = u_on_maps(g)
-        return u
-
-    checked = 0
-    failures = []
     arities = range(max_arity + 1)
+    rows = {}  # (a, b) -> (values, cut table) of each map [a] -> [b]
+    table = {c: {} for c in arities}  # c -> values -> cut table
     for a in arities:
         for b in arities:
-            for h in all_maps(a, b):
-                uh = u_of(h)
+            maps = list(all_maps(a, b))
+            rows[a, b] = list(zip([g.values for g in maps],
+                                  _cut_tables(maps)[1]))
+            table[b].update(rows[a, b])
+    checked = 0
+    failures = []
+    for a in arities:
+        for b in arities:
+            for hv, th in rows[a, b]:
+                th += (-1,)  # read at index -1, the basepoint stays put
                 for c in arities:
-                    for g in all_maps(b, c):
-                        checked += 1
-                        lhs = u_of(g.compose(h))
-                        rhs = lam_compose(uh, u_of(g))
-                        if lhs != rhs:
-                            failures.append((h.values, g.values))
+                    row, into = rows[b, c], table[c]
+                    checked += len(row)
+                    for gv, tg in row:
+                        if (into[tuple([gv[v] for v in hv])]
+                                != tuple([th[k] for k in tg])):
+                            failures.append((hv, gv))
     return CheckReport(checked, tuple(failures))
 
 
 def retraction_naturality_report(max_arity: int) -> CheckReport:
     """Check that precomposing an edge commutes with pulling retraction
     sets back along the cut action, for single maps and for smashed
-    pairs of maps with arities up to max_arity."""
+    pairs of maps with arities up to max_arity.  Each preimage is taken
+    through a cut table: the map's own, or the smashed pair's."""
     if max_arity < 0:
         raise ValueError("max arity must be nonnegative")
-    singles = []
-    for s in range(1, max_arity + 1):
-        for t in range(1, max_arity + 1):
-            for g in all_maps(s, t):
-                for alpha in all_maps(1, s):
-                    singles.append((g, alpha))
+    arities = range(1, max_arity + 1)
+    maps = [g for s in arities for t in arities for g in all_maps(s, t)]
+    numbers, tables = _cut_tables(maps)
     checked = 0
     failures = []
-    sets = []  # per single, its retraction sets after the edge and before g
-    for g, alpha in singles:
-        checked += 1
-        lhs = retraction_set(g.target_arity, g.compose(alpha))
-        rho = retraction_set(g.source_arity, alpha)
-        sets.append((lhs, rho))
-        if lhs != lam_preimage(u_on_maps(g), rho):
-            failures.append((g.values, alpha.values))
-    # singles sharing a g are adjacent: keep u_power(2, (g1, g2)) by g2
-    # only while g1 stays the same
-    powers, g_now = {}, None
-    for ((g1, a1), (l1, r1)), ((g2, a2), (l2, r2)) in iproduct(
-            zip(singles, sets), repeat=2):
-        checked += 1
-        if g1 != g_now:
-            powers, g_now = {}, g1
-        if g2 not in powers:
-            powers[g2] = u_power(2, (g1, g2))
-        if smash(l1, l2) != lam_preimage(powers[g2], smash(r1, r2)):
-            failures.append(((g1.values, a1.values), (g2.values, a2.values)))
+    # per map g and edge alpha: the retraction sets of g o alpha and of
+    # alpha, as bitmasks
+    singles = []
+    for g, table in zip(maps, tables):
+        s, t = g.source_arity, g.target_arity
+        singles.append([])
+        for alpha in all_maps(1, s):
+            checked += 1
+            lhs = sum(1 << numbers[t][cut]
+                      for cut in retraction_set(t, g.compose(alpha)))
+            rho = sum(1 << numbers[s][cut]
+                      for cut in retraction_set(s, alpha))
+            singles[-1].append((alpha, lhs, rho))
+            if lhs != _preimage(table, rho):
+                failures.append((g.values, alpha.values))
+    for g1, t1, edges1 in zip(maps, tables, singles):
+        pairs = [smash_table(t1, t2, g2.source_arity)
+                 for g2, t2 in zip(maps, tables)]
+        for a1, l1, r1 in edges1:
+            for g2, edges2, pair in zip(maps, singles, pairs):
+                checked += len(edges2)
+                l_row = _spread(l1, g2.target_arity)
+                r_row = _spread(r1, g2.source_arity)
+                for a2, l2, r2 in edges2:
+                    if l2 * l_row != _preimage(pair, r2 * r_row):
+                        failures.append(((g1.values, a1.values),
+                                         (g2.values, a2.values)))
     return CheckReport(checked, tuple(failures))

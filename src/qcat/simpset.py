@@ -719,6 +719,7 @@ def _horn_families(candidates, faces, slots):
             yield {slots[0]: v}
         return
 
+    position = {v: k for k, v in enumerate(candidates)}
     by_face: dict = {}
     for v in candidates:
         for p, w in enumerate(faces[v]):
@@ -732,7 +733,8 @@ def _horn_families(candidates, faces, slots):
             return
         i = slots[idx]
         # every already-placed slot pins one face of the newcomer, so the
-        # viable candidates sit in an intersection of by_face buckets
+        # viable candidates are an intersection of by_face buckets, taken
+        # in candidate order
         empty: set = set()
         needs = []
         for j, prev in family.items():
@@ -740,8 +742,8 @@ def _horn_families(candidates, faces, slots):
                 needs.append(by_face.get((j, faces[prev][i - 1]), empty))
             else:
                 needs.append(by_face.get((j - 1, faces[prev][i]), empty))
-        pool = candidates if not needs else [
-            v for v in candidates if all(v in s for s in needs)]
+        pool = candidates if not needs else sorted(
+            set.intersection(*needs), key=position.__getitem__)
         for v in pool:
             family[i] = v
             yield from extend(idx + 1)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -205,6 +206,24 @@ def test_segal_reports_match_their_recorded_digests():
     assert fresh_digests(SEGAL_REPORTS) == SEGAL_REPORTS
 
 
+# Recorded like K0_REPORTS, before the gamma checks compared cut tables:
+# 1,008,762 and 658,532 comparisons, the heaviest gamma reports.
+GAMMA_REPORTS = {
+    "gamma --check u-functoriality --max-arity 5": {
+        "exit": 0,
+        "sha256": "dd05da7dff90857eb890a8c37b86f10c"
+                  "947564543f0c464b0794b371f958ce38"},
+    "gamma --check retraction-naturality --max-arity 3": {
+        "exit": 0,
+        "sha256": "e35df6c5d2d48f7534d92fab9e64ef46"
+                  "04bf1e371d38115644f006481231d447"},
+}
+
+
+def test_heavy_gamma_reports_match_their_recorded_digests():
+    assert fresh_digests(GAMMA_REPORTS) == GAMMA_REPORTS
+
+
 def test_triple_verification_counts_the_maps_before_listing_any():
     # abp:2:32 would list 77,020,054 maps; the count alone is instant
     done = run_fresh("check-instance", "--instance", "abp:2:32")
@@ -297,3 +316,33 @@ def test_reports_are_byte_stable_across_runs_and_threads(capsys, monkeypatch):
         _, out, _ = run(capsys, "subdivide", "--word", "op", "--mmax", "2")
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+# Runs qcat/__main__.py as `python -m qcat` does, then reports on stderr,
+# after the command's own lines, whether the start-up heap was frozen.
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0,
+                              file=sys.stderr))
+runpy.run_module("qcat", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_the_start_up_heap(capsys):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, "homology", "--in", RP2],
+        cwd=ROOT, env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr.decode().splitlines()[-1] == "frozen True"
+    # the in-process entry freezes nothing and prints the same bytes
+    frozen = gc.get_freeze_count()
+    rc, out, _ = run(capsys, "homology", "--in", RP2)
+    assert rc == 0
+    assert gc.get_freeze_count() == frozen
+    assert done.stdout == out.encode()
+
+
+def test_console_script_uses_the_process_entry():
+    text = (ROOT / "pyproject.toml").read_text("utf-8")
+    assert 'qcat = "qcat.__main__:run"' in text

@@ -14,6 +14,7 @@ from qcat import gammastr
 from qcat.fincat import check_axioms
 from qcat.gammastr import (
     BASEPOINT,
+    CheckReport,
     L_of,
     LambdaMorphism,
     L_restriction,
@@ -23,7 +24,7 @@ from qcat.gammastr import (
     lam_preimage,
     retraction_naturality_report,
     retraction_set,
-    smash,
+    smash_table,
     u_functoriality_report,
     u_on_maps,
     u_on_objects,
@@ -37,6 +38,12 @@ from qcat.ordmaps import DeltaMap, all_maps
 
 def lam_identity(i) -> LambdaMorphism:
     return lam(i, i, lambda x: x)
+
+
+def smash(i, j) -> frozenset:
+    """Product of underlying sets; basepoints of the factors collapse,
+    which is why there is no extra point to track."""
+    return frozenset((a, b) for a in i for b in j)
 
 
 def smash_mor(phi: LambdaMorphism, psi: LambdaMorphism) -> LambdaMorphism:
@@ -105,6 +112,104 @@ def test_smash_associativity_up_to_canonical_bijection():
         {((a, b), c) for (a, (b, c)) in right}
 
 
+# -- the reports before cut tables -----------------------------------------
+#
+# The two exhaustive reports as they were when they compared LambdaMorphisms,
+# kept unchanged as oracles for the cut-table versions.
+
+
+def reference_u_functoriality_report(max_arity: int) -> CheckReport:
+    """Exhaustively compare u(g o h) with u(h) o u(g) over all
+    composable pairs of monotone maps with arities up to max_arity."""
+    if max_arity < 0:
+        raise ValueError("max arity must be nonnegative")
+    cache = {}
+
+    def u_of(g):
+        u = cache.get(g)
+        if u is None:
+            u = cache[g] = u_on_maps(g)
+        return u
+
+    checked = 0
+    failures = []
+    arities = range(max_arity + 1)
+    for a in arities:
+        for b in arities:
+            for h in all_maps(a, b):
+                uh = u_of(h)
+                for c in arities:
+                    for g in all_maps(b, c):
+                        checked += 1
+                        lhs = u_of(g.compose(h))
+                        rhs = lam_compose(uh, u_of(g))
+                        if lhs != rhs:
+                            failures.append((h.values, g.values))
+    return CheckReport(checked, tuple(failures))
+
+
+def reference_retraction_naturality_report(max_arity: int) -> CheckReport:
+    """Check that precomposing an edge commutes with pulling retraction
+    sets back along the cut action, for single maps and for smashed
+    pairs of maps with arities up to max_arity."""
+    if max_arity < 0:
+        raise ValueError("max arity must be nonnegative")
+    singles = []
+    for s in range(1, max_arity + 1):
+        for t in range(1, max_arity + 1):
+            for g in all_maps(s, t):
+                for alpha in all_maps(1, s):
+                    singles.append((g, alpha))
+    checked = 0
+    failures = []
+    sets = []  # per single, its retraction sets after the edge and before g
+    for g, alpha in singles:
+        checked += 1
+        lhs = retraction_set(g.target_arity, g.compose(alpha))
+        rho = retraction_set(g.source_arity, alpha)
+        sets.append((lhs, rho))
+        if lhs != lam_preimage(u_on_maps(g), rho):
+            failures.append((g.values, alpha.values))
+    # singles sharing a g are adjacent: keep u_power(2, (g1, g2)) by g2
+    # only while g1 stays the same
+    powers, g_now = {}, None
+    for ((g1, a1), (l1, r1)), ((g2, a2), (l2, r2)) in iproduct(
+            zip(singles, sets), repeat=2):
+        checked += 1
+        if g1 != g_now:
+            powers, g_now = {}, g1
+        if g2 not in powers:
+            powers[g2] = u_power(2, (g1, g2))
+        if smash(l1, l2) != lam_preimage(powers[g2], smash(r1, r2)):
+            failures.append(((g1.values, a1.values), (g2.values, a2.values)))
+    return CheckReport(checked, tuple(failures))
+
+
+def patch(monkeypatch, name, fn):
+    """Replace a gammastr function for the reports and their references,
+    which read it from this module, alike."""
+    monkeypatch.setattr(gammastr, name, fn)
+    monkeypatch.setitem(globals(), name, fn)
+
+
+def lossy_u_on_maps(g, real=u_on_maps):
+    # a cut action that sends the cut (0, 1, 1) to the basepoint breaks
+    # functoriality and naturality in some pairs
+    u = real(g)
+    return lam(u.source, u.target,
+               lambda cut: BASEPOINT if cut == (0, 1, 1) else u(cut))
+
+
+def cut_table(g):
+    """g's cut table from its cut action: for each cut of the target in
+    sorted order, the position of its image among the sorted cuts of the
+    source, or -1 for the basepoint."""
+    u = u_on_maps(g)
+    into = sorted(u_on_objects(g.source_arity))
+    return tuple(-1 if u(cut) is BASEPOINT else into.index(u(cut))
+                 for cut in sorted(u_on_objects(g.target_arity)))
+
+
 # -- the cut functor -------------------------------------------------------
 
 
@@ -126,6 +231,52 @@ def test_u_functoriality_exhaustive_through_arity_four():
     report = u_functoriality_report(4)
     assert report.passed
     assert report.checked == 73085
+
+
+@pytest.mark.parametrize("max_arity", range(5))
+def test_u_functoriality_matches_the_lambda_morphism_report(max_arity):
+    report = u_functoriality_report(max_arity)
+    oracle = reference_u_functoriality_report(max_arity)
+    assert (report.checked, report.failures) == \
+        (oracle.checked, oracle.failures)
+
+
+def test_u_functoriality_reports_failures_in_pair_order(monkeypatch):
+    patch(monkeypatch, "u_on_maps", lossy_u_on_maps)
+    report = u_functoriality_report(3)
+    oracle = reference_u_functoriality_report(3)
+    assert not report.passed
+    assert (report.checked, report.failures) == \
+        (oracle.checked, oracle.failures)
+
+
+def test_cut_tables_read_the_cut_action():
+    maps = [g for a in range(4) for b in range(4) for g in all_maps(a, b)]
+    numbers, tables = gammastr._cut_tables(maps)
+    assert tables == [cut_table(g) for g in maps]
+    assert numbers == {n: {cut: k for k, cut in
+                           enumerate(sorted(u_on_objects(n)))}
+                       for n in range(4)}
+
+
+def test_smash_table_is_the_smashed_cut_action():
+    # entry k1 * t2 + k2 of the table is the image of the cut pair
+    # (k1, k2) under u_power(2, (g1, g2)), numbered j1 * s2 + j2
+    maps = [g for a in range(3) for b in range(3) for g in all_maps(a, b)]
+    for g1, g2 in iproduct(maps, repeat=2):
+        cuts1, cuts2 = (sorted(u_on_objects(g.target_arity))
+                        for g in (g1, g2))
+        images1, images2 = (sorted(u_on_objects(g.source_arity))
+                            for g in (g1, g2))
+        power = u_power(2, (g1, g2))
+        want = []
+        for pair in iproduct(cuts1, cuts2):
+            image = power(pair)
+            want.append(-1 if image is BASEPOINT else
+                        images1.index(image[0]) * len(images2)
+                        + images2.index(image[1]))
+        assert smash_table(cut_table(g1), cut_table(g2),
+                           g2.source_arity) == tuple(want)
 
 
 def test_u_power_unary_is_the_plain_action():
@@ -217,18 +368,38 @@ def _naturality_by_pairs(max_arity):
 
 def test_retraction_naturality_builds_each_smashed_action_once(monkeypatch):
     calls = []
-    real = gammastr.u_power
+    real = gammastr.smash_table
 
-    def spy(n, gs):
-        calls.append(tuple(gs))
-        return real(n, gs)
+    def spy(t1, t2, width):
+        calls.append((t1, t2, width))
+        return real(t1, t2, width)
 
-    monkeypatch.setattr(gammastr, "u_power", spy)
+    monkeypatch.setattr(gammastr, "smash_table", spy)
     assert retraction_naturality_report(2).checked == 12432
     maps = [g for s in (1, 2) for t in (1, 2) for g in all_maps(s, t)]
-    # one per ordered pair of the 23 maps, where every pair of the 111
-    # (map, edge) singles used to build its own: 12,321 calls
-    assert len(calls) == len(set(calls)) == len(maps) ** 2 == 529
+    # one table per ordered pair of the 23 maps, in pair order, where
+    # every pair of the 111 (map, edge) singles once built its own smashed
+    # action: 12,321 builds
+    assert calls == [(cut_table(g1), cut_table(g2), g2.source_arity)
+                     for g1 in maps for g2 in maps]
+    assert len(calls) == len(maps) ** 2 == 529
+
+
+@pytest.mark.parametrize("max_arity", range(3))
+def test_retraction_naturality_matches_the_lambda_morphism_report(max_arity):
+    report = retraction_naturality_report(max_arity)
+    oracle = reference_retraction_naturality_report(max_arity)
+    assert (report.checked, report.failures) == \
+        (oracle.checked, oracle.failures)
+
+
+def test_retraction_naturality_follows_a_lossy_cut_action(monkeypatch):
+    patch(monkeypatch, "u_on_maps", lossy_u_on_maps)
+    report = retraction_naturality_report(2)
+    oracle = reference_retraction_naturality_report(2)
+    assert not report.passed
+    assert (report.checked, report.failures) == \
+        (oracle.checked, oracle.failures)
 
 
 def test_retraction_naturality_reports_failures_in_pair_order(monkeypatch):
@@ -240,10 +411,13 @@ def test_retraction_naturality_reports_failures_in_pair_order(monkeypatch):
     def lossy(s, alpha):
         return real(s, alpha) - {(0, 1, 1)}
 
-    monkeypatch.setattr(gammastr, "retraction_set", lossy)
+    patch(monkeypatch, "retraction_set", lossy)
     report = retraction_naturality_report(2)
     assert not report.passed
     assert (report.checked, report.failures) == _naturality_by_pairs(2)
+    oracle = reference_retraction_naturality_report(2)
+    assert (report.checked, report.failures) == \
+        (oracle.checked, oracle.failures)
 
 
 def test_retraction_naturality_through_the_subset_functor():

@@ -629,3 +629,90 @@ def test_compile_rejects_two_degeneracies_onto_one_token():
     model = LevelModel(levels=levels.__getitem__, act=act, max_dim=2)
     with pytest.raises(ValueError, match="two degeneracies reach 'x'"):
         model.compile()
+
+
+# -- horn families against the candidate scan they replaced ---------------
+
+
+def reference_horn_families(candidates, faces, slots):
+    """Backtracking enumeration of compatible (n-1)-value families.
+
+    Slot j and slot i with j < i must satisfy d_j(x_i) = d_(i-1)(x_j), the
+    relation the faces of an actual n-simplex would obey.  `faces` maps a
+    candidate to its face tuple; None means dimension 1, where the single
+    slot is unconstrained.
+    """
+    if faces is None:
+        for v in candidates:
+            yield {slots[0]: v}
+        return
+
+    by_face: dict = {}
+    for v in candidates:
+        for p, w in enumerate(faces[v]):
+            by_face.setdefault((p, w), set()).add(v)
+
+    family: dict = {}
+
+    def extend(idx):
+        if idx == len(slots):
+            yield dict(family)
+            return
+        i = slots[idx]
+        # every already-placed slot pins one face of the newcomer, so the
+        # viable candidates sit in an intersection of by_face buckets
+        empty: set = set()
+        needs = []
+        for j, prev in family.items():
+            if j < i:
+                needs.append(by_face.get((j, faces[prev][i - 1]), empty))
+            else:
+                needs.append(by_face.get((j - 1, faces[prev][i]), empty))
+        pool = candidates if not needs else [
+            v for v in candidates if all(v in s for s in needs)]
+        for v in pool:
+            family[i] = v
+            yield from extend(idx + 1)
+            del family[i]
+
+    yield from extend(0)
+
+
+def _horn_inputs(space, n):
+    """The candidates and faces `left_fibration_check` hands the family
+    enumeration in dimension n."""
+    low = space.values(n - 1)
+    faces = None if n < 2 else {
+        v: tuple(space.face(v, i) for i in range(n)) for v in low}
+    return low, faces
+
+
+@pytest.mark.parametrize("name", ["bz2", "poset3"])
+def test_horn_families_match_the_candidate_scan(name):
+    c = load_category((FIXTURES / f"{name}.cat").read_text())
+    shadow = nerve_map(twisted_projection(c), 3)
+    families = 0
+    for space in (shadow.source, shadow.target):
+        for n in range(1, 4):
+            low, faces = _horn_inputs(space, n)
+            for k in range(n):
+                slots = [i for i in range(n + 1) if i != k]
+                got = list(simpset._horn_families(low, faces, slots))
+                assert got == list(reference_horn_families(low, faces, slots))
+                families += len(got)
+    assert families > 0
+
+
+def test_left_fibration_failure_matches_the_candidate_scan(monkeypatch):
+    # two boundaries of the 2-simplex folded onto the 2-simplex: edges
+    # lift uniquely, but each of several horn families over the 2-simplex
+    # has no lift, so the failure named is the first family enumerated
+    edge = boundary_of_simplex(2)
+    both = edge.disjoint_union(edge)
+    fold = SimplicialMap(both, standard_simplex(2),
+                         {(side, x): ((), x) for side, x in both.dims})
+    got = left_fibration_check(fold, 3)
+    assert got == (False, "0 lifts over ((), (0, 1, 2)) for horn (n=2, k=0) "
+                   "at [(1, ((), (0, (0, 2)))), (2, ((), (0, (0, 1))))]")
+    monkeypatch.setattr(simpset, "_horn_families", reference_horn_families)
+    assert left_fibration_check(fold, 3) == got
