@@ -116,13 +116,6 @@ def pullback(word, x: SimplicialSet, depth: int) -> SimplicialSet:
     return pullback_model(word, x, depth).compile().space
 
 
-def pullback_map(word, f: SimplicialMap, depth: int) -> SimplicialMap:
-    """Functorial action on maps: act on level tokens by f."""
-    src = pullback_model(word, f.source, depth).compile()
-    dst = pullback_model(word, f.target, depth).compile()
-    return src.map_to(dst, lambda token, n: f.on_value(token))
-
-
 def edgewise(x: SimplicialSet, depth: int) -> SimplicialSet:
     return pullback(EDGEWISE, x, depth)
 

@@ -42,18 +42,6 @@ class ExactEmbedding:
         return f"{self.source.describe()} -> {self.target.describe()}"
 
 
-class IdentityEmbedding(ExactEmbedding):
-    def __init__(self, inst: Instance):
-        self.source = inst
-        self.target = inst
-
-    def on_object(self, u):
-        return u
-
-    def on_mor(self, f: Mor) -> Mor:
-        return f
-
-
 class VectToAbP(ExactEmbedding):
     """Spaces over F_p land as elementary abelian p-groups; matrices
     carry over unchanged because both sides compute mod p."""

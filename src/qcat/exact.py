@@ -7,14 +7,15 @@ are integer matrices reduced mod the target moduli, and the admissible
 classes are exactly the injective and surjective maps (quotients and
 kernels stay within the bounds, so nothing needs to be excluded).
 
-Morphisms in the span calculus are graph subgroups: the span
-X <- U -> Y with epi left leg and mono right leg embeds into X + Y, and
-the member set of its image W is the unique representative of the span's
-isomorphism class.  Because the right leg is mono, a class is also a
-subgroup V of Y with an epi V ->> X; `all_spans` enumerates the classes
-that way and records each class's legs for `span_legs`.  Composition is
-relation composition of member sets, and the Hermite key of W
-(`zmod.subgroup_key`) only orders `all_spans`.
+Morphisms in the span calculus are partial-map tables.  The span
+X <- U -> Y with epi left leg and mono right leg embeds into X + Y as a
+graph subgroup W, and because the right leg is mono W is the graph of a
+partial map Y -> X defined on a subgroup V of Y.  Its table over the
+elements of Y is the unique representative of the span's isomorphism
+class.  `all_spans` enumerates the classes as the pairs (V <= Y, epi
+V ->> X) and records each class's legs for `span_legs`; composition is
+composition of tables, and the Hermite key of W (`zmod.subgroup_key`,
+read off the legs) only orders `all_spans`.
 Kernels, span apexes and pullbacks are built by `Instance._subobject`,
 cokernels by `Instance._quotient`.
 """
@@ -45,9 +46,9 @@ class Instance:
     of structure tuples back to objects.  `_subobject` and `_quotient`
     are its one subgroup routine and its one quotient routine.
 
-    Element tuples, the subgroup inclusions into each object, the span
-    classes of each pair of objects and each span's legs are memoized on
-    the instance.
+    Element tuples, each map's element-index table (`table`), the
+    subgroup inclusions into each object, the span classes of each pair
+    of objects and each span's legs are memoized on the instance.
     An object is only a typing value whose group depends on the instance
     (the object (1,) is Z/2 in abp:2:4 and Z/3 in abp:3:9), so these
     tables must never be shared between instances.
@@ -57,6 +58,7 @@ class Instance:
 
     def __init__(self):
         self._elements = {}       # object -> tuple of its elements
+        self._tables = {}         # Mor -> its element-index table
         self._subobjects = {}     # y -> [inclusion V >-> y per subgroup]
         self._spans = {}          # (x, y) -> tuple of all_spans(x, y)
         self._span_legs = {}      # Span -> (w, e: w ->> src, m: w >-> dst)
@@ -104,6 +106,16 @@ class Instance:
     def apply(self, f: Mor, v):
         return zmod.mat_apply(self.moduli_of(f.dst), f.rows, v)
 
+    def table(self, f: Mor) -> tuple:
+        """Entry a is the index in `elements(f.dst)` of the image of the
+        a-th element of f.src."""
+        t = self._tables.get(f)
+        if t is None:
+            index = {v: k for k, v in enumerate(self.elements(f.dst))}
+            t = self._tables[f] = tuple(index[self.apply(f, v)]
+                                        for v in self.elements(f.src))
+        return t
+
     def compose(self, g: Mor, f: Mor) -> Mor:
         if f.dst != g.src:
             raise ValueError(f"cannot compose {g!r} after {f!r}")
@@ -131,30 +143,6 @@ class Instance:
         if self.order(x) != self.order(y):
             return []
         return self.monos(x, y)
-
-    def direct_sum(self, x, y):
-        """Returns (s, i1, i2, p1, p2); the summands land in the canonical
-        object, whose components are the merged moduli in sorted order."""
-        ex = list(self._exps_of(x))
-        ey = list(self._exps_of(y))
-        merged = ex + ey
-        order = sorted(range(len(merged)), key=lambda t: (-merged[t], t))
-        s = self.object_of_structure(tuple(merged[t] for t in order))
-        if s not in self.objects():
-            raise GuardError(f"direct sum {self.label(x)}+{self.label(y)} "
-                             "exceeds the instance bound")
-        slot = {src: i for i, src in enumerate(order)}
-        nx, ny, ns = len(ex), len(ey), len(merged)
-        i1 = tuple(tuple(int(slot[j] == i) for j in range(nx))
-                   for i in range(ns))
-        i2 = tuple(tuple(int(slot[nx + j] == i) for j in range(ny))
-                   for i in range(ns))
-        p1 = tuple(tuple(int(slot[i] == j) for j in range(ns))
-                   for i in range(nx))
-        p2 = tuple(tuple(int(slot[nx + i] == j) for j in range(ns))
-                   for i in range(ny))
-        return (s, Mor(x, s, i1), Mor(y, s, i2),
-                Mor(s, x, p1), Mor(s, y, p2))
 
     def _subobject(self, moduli, members):
         """The subgroup generated by `members`, as (object, inclusion)."""
@@ -278,37 +266,20 @@ class AbPInstance(Instance):
 
 
 class Span(Record):
-    """A morphism of the span category: the member set of the graph
-    subgroup W of src + dst, which is its own canonical form.  The left
-    leg W -> src is an admissible epi, and W meets src + 0 trivially
-    (right leg mono)."""
-    __slots__ = ("src", "dst", "members")
+    """A morphism of the span category as the table of its partial map
+    dst -> src: entry b is the index in `inst.elements(src)` of the image
+    of the b-th element of dst, or -1 off the subgroup V the map is
+    defined on.  The graph of that map is the graph subgroup of the
+    class, so the table is its canonical form."""
+    __slots__ = ("src", "dst", "table")
 
-    def __init__(self, src, dst, members: frozenset):
+    def __init__(self, src, dst, table: tuple):
         self.src = src
         self.dst = dst
-        self.members = members
+        self.table = table
 
     def __repr__(self):
-        return f"Span({self.src!r}->{self.dst!r}, {sorted(self.members)!r})"
-
-
-def _graph_ok(inst: Instance, x, y, members) -> tuple[bool, str]:
-    nx = len(inst.moduli_of(x))
-    proj = {w[:nx] for w in members}
-    if len(proj) != inst.order(x):
-        return False, "left leg is not surjective"
-    for w in members:
-        if any(w[:nx]) and not any(w[nx:]):
-            return False, "right leg has a nontrivial kernel"
-    return True, ""
-
-
-def span_from_members(inst: Instance, x, y, members) -> Span:
-    ok, why = _graph_ok(inst, x, y, members)
-    if not ok:
-        raise ValueError(f"not a valid span graph: {why}")
-    return Span(x, y, frozenset(members))
+        return f"Span({self.src!r}->{self.dst!r}, {self.table!r})"
 
 
 def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
@@ -320,9 +291,10 @@ def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
         raise ValueError("left leg must be an admissible epi")
     if not inst.is_mono(m):
         raise ValueError("right leg must be an admissible mono")
-    members = {(*inst.apply(e, u), *inst.apply(m, u))
-               for u in inst.elements(e.src)}
-    return span_from_members(inst, e.dst, m.dst, members)
+    table = [-1] * inst.order(m.dst)
+    for b, a in zip(inst.table(m), inst.table(e)):
+        table[b] = a
+    return Span(e.dst, m.dst, tuple(table))
 
 
 def span_legs(inst: Instance, s: Span):
@@ -336,15 +308,15 @@ def span_legs(inst: Instance, s: Span):
 
 
 def identity_span(inst: Instance, x) -> Span:
-    return span_from_members(inst, x, x,
-                             {(*v, *v) for v in inst.elements(x)})
+    return Span(x, x, tuple(range(inst.order(x))))
 
 
 def all_spans(inst: Instance, x, y) -> list[Span]:
     """Every span class from x to y, ordered by the Hermite key of W, as
     a fresh list; the classes are enumerated once per instance and pair,
     as the pairs (V <= y, epi V ->> x), each of which is one class, and
-    the inclusions V >-> y once per instance and y."""
+    the inclusions V >-> y once per instance and y.  W is generated by
+    the images (e(v), m(v)) of V's generators v, the columns of the legs."""
     spans = inst._spans.get((x, y))
     if spans is None:
         incls = inst._subobjects.get(y)
@@ -359,23 +331,18 @@ def all_spans(inst: Instance, x, y) -> list[Span]:
                 for m in incls for e in inst.epis(m.src, x)}
         inst._span_legs.update(legs)
         moduli = inst.moduli_of(x) + inst.moduli_of(y)
-        spans = inst._spans[(x, y)] = tuple(sorted(
-            legs, key=lambda s: zmod.subgroup_key(moduli, s.members)))
+        key = {s: zmod.subgroup_key(moduli, list(zip(*e.rows, *m.rows)))
+               for s, (_, e, m) in legs.items()}
+        spans = inst._spans[(x, y)] = tuple(sorted(legs, key=key.__getitem__))
     return list(spans)
 
 
 def span_compose(inst: Instance, t: Span, s: Span) -> Span:
-    """t after s: relation composition of the graph subobjects."""
+    """t after s: the partial map t's table, then s's."""
     if s.dst != t.src:
         raise ValueError("spans are not composable")
-    nx = len(inst.moduli_of(s.src))
-    ny = len(inst.moduli_of(s.dst))
-    by_middle: dict = {}
-    for w in t.members:
-        by_middle.setdefault(w[:ny], []).append(w[ny:])
-    members = {(*u[:nx], *z)
-               for u in s.members for z in by_middle.get(u[nx:], ())}
-    return span_from_members(inst, s.src, t.dst, members)
+    back = s.table + (-1,)
+    return Span(s.src, t.dst, tuple(map(back.__getitem__, t.table)))
 
 
 # -- ambigressive squares ----------------------------------------------------

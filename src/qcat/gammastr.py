@@ -117,30 +117,6 @@ def u_on_maps(g: DeltaMap) -> LambdaMorphism:
                u_on_objects(g.source_arity), step)
 
 
-def u_power(n: int, gs) -> LambdaMorphism:
-    """Componentwise cut action on n-tuples, smashed together.
-
-    The one-fold smash is the identity, so n = 1 gives back the plain
-    cut action on raw cuts rather than on 1-tuples.
-    """
-    gs = tuple(gs)
-    if len(gs) != n:
-        raise ValueError(f"expected {n} maps, got {len(gs)}")
-    if n == 1:
-        return u_on_maps(gs[0])
-    parts = [u_on_maps(g) for g in gs]
-
-    def step(etas):
-        images = [p(eta) for p, eta in zip(parts, etas)]
-        if any(im is BASEPOINT for im in images):
-            return BASEPOINT
-        return tuple(images)
-
-    source = frozenset(iproduct(*[p.source for p in parts]))
-    target = frozenset(iproduct(*[p.target for p in parts]))
-    return lam(source, target, step)
-
-
 def retraction_set(s: int, alpha: DeltaMap) -> frozenset:
     """Cuts beta: [s] ->> [1] with beta(alpha(0)) = 0, beta(alpha(1)) = 1.
 

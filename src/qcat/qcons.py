@@ -8,10 +8,11 @@ presentation is read off its arrows and composition table.
 
 Ambigressive diagrams (the triangular grids whose elementary squares are
 all ambigressive pullbacks) are grown from spine strings corner by corner.
-A corner's fillers are the span classes of its pair whose graph is the
-corner's pullback graph, but every class of the pair is compared and the
-fillers are counted, not assumed unique, so the spine comparison against
-composable span strings still checks that each corner has one filler.
+A corner's filler is the span class of its pair whose table is the
+corner's pullback graph, read off the element-index tables of its two
+legs; the table is canonical, so a corner has at most one filler, and
+the spine comparison against composable span strings checks that each
+corner has one.
 """
 
 from . import fincat
@@ -19,6 +20,7 @@ from .errors import GuardError
 from .exact import (
     Instance,
     Mor,
+    Span,
     all_spans,
     identity_span,
     span_compose,
@@ -155,17 +157,18 @@ def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
     up to an iso of X over both legs, as (X, e, m).  Such a class is a
     span class ne_obj <<- X >-> sw_obj of order |ne_obj| |sw_obj| / |se_obj|
     with its graph in the pullback graph P = {(a, b) : right(a) = bottom(b)}.
-    P has that order when bottom is epi, so the fillers are the classes
-    whose graph is P; every class of the pair is compared with it."""
-    fiber = {}
-    for b in inst.elements(sw_obj):
-        fiber.setdefault(inst.apply(bottom, b), []).append(b)
-    graph = frozenset((*a, *b) for a in inst.elements(ne_obj)
-                      for b in fiber.get(inst.apply(right, a), ()))
-    if len(graph) * inst.order(se_obj) != inst.order(ne_obj) * inst.order(sw_obj):
+    P has that order when bottom is epi, and as right is mono it is the
+    graph of the partial map sw_obj -> ne_obj that sends b to the a with
+    right(a) = bottom(b); its table is looked up among the pair's classes."""
+    over = {c: a for a, c in enumerate(inst.table(right))}
+    table = tuple(over.get(c, -1) for c in inst.table(bottom))
+    if (len(table) - table.count(-1)) * inst.order(se_obj) != \
+            inst.order(ne_obj) * inst.order(sw_obj):
         return []
-    return [span_legs(inst, s) for s in all_spans(inst, ne_obj, sw_obj)
-            if s.members == graph]
+    try:
+        return [span_legs(inst, Span(ne_obj, sw_obj, table))]
+    except ValueError:
+        return []
 
 
 def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:

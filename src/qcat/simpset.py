@@ -214,21 +214,6 @@ class SimplicialSet:
 
     # -- constructions ------------------------------------------------
 
-    def disjoint_union(self, other: "SimplicialSet") -> "SimplicialSet":
-        def tag(side, x):
-            return (side, x)
-
-        dims = {tag(0, x): n for x, n in self.dims.items()}
-        dims.update({tag(1, x): n for x, n in other.dims.items()})
-        faces = {}
-        for side, src in ((0, self), (1, other)):
-            for x, fs in src.faces.items():
-                faces[tag(side, x)] = tuple((w, tag(side, y)) for w, y in fs)
-        # a complete side is known in every dimension, so only truncated
-        # sides cap what the union knows
-        caps = [t for t in (self.truncation, other.truncation) if t is not None]
-        return SimplicialSet(dims, faces, min(caps) if caps else None, check=False)
-
     def opposite(self) -> "SimplicialSet":
         faces = {}
         for x, n in self.dims.items():
@@ -557,13 +542,6 @@ def standard_simplex(m: int) -> SimplicialSet:
             if size > 1:
                 faces[verts] = tuple(((), verts[:i] + verts[i + 1:])
                                      for i in range(size))
-    return SimplicialSet(dims, faces, None)
-
-
-def boundary_of_simplex(m: int) -> SimplicialSet:
-    full = standard_simplex(m)
-    dims = {x: n for x, n in full.dims.items() if n < m}
-    faces = {x: full.faces[x] for x in dims if dims[x] > 0}
     return SimplicialSet(dims, faces, None)
 
 

@@ -25,10 +25,10 @@ class Mor:
 class Span:
     src: object
     dst: object
-    members: frozenset
+    table: tuple
 
     def __repr__(self):
-        return f"Span({self.src!r}->{self.dst!r}, {sorted(self.members)!r})"
+        return f"Span({self.src!r}->{self.dst!r}, {self.table!r})"
 
 
 @dataclass(frozen=True)

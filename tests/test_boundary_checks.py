@@ -18,8 +18,9 @@ from qcat.exact import AbPInstance, VectInstance
 from qcat.fincat import nerve, twisted_arrow
 from qcat.formats import load_category, load_sset
 from qcat.qcons import q_category
-from qcat.simpset import boundary_of_simplex, product, standard_simplex
+from qcat.simpset import product, standard_simplex
 from qcat.snf import smith_diagonal
+from test_simpset import boundary_of_simplex
 from triangulations import SEEDS, surface
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

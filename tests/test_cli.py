@@ -206,6 +206,25 @@ def test_segal_reports_match_their_recorded_digests():
     assert fresh_digests(SEGAL_REPORTS) == SEGAL_REPORTS
 
 
+# Recorded like K0_REPORTS, before span classes were stored as partial-map
+# tables: the heaviest Segal check and the heavier devissage certificate.
+SPAN_REPORTS = {
+    "segal --instance abp:2:8 --n 2": {
+        "exit": 0,
+        "sha256": "be6f039733fb4d0741ce61a76295370d"
+                  "a4650e2d61b14e57c76d1ea7b33a380f"},
+    "devissage --source vect:2:2 --target abp:2:8 --probes c2+c2,c4 "
+    "--depth 3": {
+        "exit": 0,
+        "sha256": "dadf009e2429aa99df8324fb80dacb20"
+                  "69bd8e40bd6f7ce8fa47d5769b54d1ed"},
+}
+
+
+def test_heavier_span_reports_match_their_recorded_digests():
+    assert fresh_digests(SPAN_REPORTS) == SPAN_REPORTS
+
+
 # Recorded like K0_REPORTS, before the gamma checks compared cut tables:
 # 1,008,762 and 658,532 comparisons, the heaviest gamma reports.
 GAMMA_REPORTS = {

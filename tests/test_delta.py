@@ -12,17 +12,15 @@ from qcat.delta import (
     is_combinatorial_subdivision,
     parse_word,
     pullback,
-    pullback_map,
 )
 from qcat.ordmaps import DeltaMap, all_maps
 from qcat.simpset import (
     SimplicialMap,
-    boundary_of_simplex,
     left_fibration_check,
     standard_simplex,
     truncate,
 )
-from test_simpset import find_isomorphism
+from test_simpset import boundary_of_simplex, find_isomorphism, pullback_map
 from triangulations import HOMOLOGY, surface
 
 

@@ -28,7 +28,6 @@ from qcat.gammastr import (
     u_functoriality_report,
     u_on_maps,
     u_on_objects,
-    u_power,
 )
 from qcat.ordmaps import DeltaMap, all_maps
 
@@ -38,6 +37,30 @@ from qcat.ordmaps import DeltaMap, all_maps
 
 def lam_identity(i) -> LambdaMorphism:
     return lam(i, i, lambda x: x)
+
+
+def u_power(n: int, gs) -> LambdaMorphism:
+    """Componentwise cut action on n-tuples, smashed together.
+
+    The one-fold smash is the identity, so n = 1 gives back the plain
+    cut action on raw cuts rather than on 1-tuples.
+    """
+    gs = tuple(gs)
+    if len(gs) != n:
+        raise ValueError(f"expected {n} maps, got {len(gs)}")
+    if n == 1:
+        return u_on_maps(gs[0])
+    parts = [u_on_maps(g) for g in gs]
+
+    def step(etas):
+        images = [p(eta) for p, eta in zip(parts, etas)]
+        if any(im is BASEPOINT for im in images):
+            return BASEPOINT
+        return tuple(images)
+
+    source = frozenset(iproduct(*[p.source for p in parts]))
+    target = frozenset(iproduct(*[p.target for p in parts]))
+    return lam(source, target, step)
 
 
 def smash(i, j) -> frozenset:
@@ -361,7 +384,7 @@ def _naturality_by_pairs(max_arity):
         lhs = smash(rset(g1.target_arity, g1.compose(a1)),
                     rset(g2.target_arity, g2.compose(a2)))
         rho = smash(rset(g1.source_arity, a1), rset(g2.source_arity, a2))
-        if lhs != lam_preimage(gammastr.u_power(2, (g1, g2)), rho):
+        if lhs != lam_preimage(u_power(2, (g1, g2)), rho):
             failures.append(((g1.values, a1.values), (g2.values, a2.values)))
     return len(singles) + len(singles) ** 2, tuple(failures)
 

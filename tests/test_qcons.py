@@ -16,6 +16,7 @@ from qcat.exact import (
     VectInstance,
     all_spans,
     bicartesian_check,
+    identity_span,
     parse_instance,
     span_compose,
     span_from_legs,
@@ -25,6 +26,7 @@ from qcat.exact import (
 from qcat.fincat import nerve
 from qcat.qcons import AmbigressiveDiagram
 from qcat.simpset import LevelModel
+from span_oracles import span_from_members, span_members
 
 
 # -- diagram checks only the tests use --------------------------------------
@@ -143,7 +145,7 @@ class _KeyedSpan:
 
     def __init__(self, inst, span):
         moduli = inst.moduli_of(span.src) + inst.moduli_of(span.dst)
-        key = zmod.subgroup_key(moduli, span.members)
+        key = zmod.subgroup_key(moduli, span_members(inst, span))
         self.text = f"Span({span.src!r}->{span.dst!r}, {key!r})"
 
     def __repr__(self):
@@ -485,9 +487,10 @@ def reference_corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor,
     right_of = {a: inst.apply(right, a) for a in inst.elements(ne_obj)}
     bottom_of = {b: inst.apply(bottom, b) for b in inst.elements(sw_obj)}
     nx = len(inst.moduli_of(ne_obj))
-    return [span_legs(inst, s) for s in all_spans(inst, ne_obj, sw_obj)
-            if len(s.members) * se_order == target
-            and all(right_of[w[:nx]] == bottom_of[w[nx:]] for w in s.members)]
+    graphs = {s: span_members(inst, s) for s in all_spans(inst, ne_obj, sw_obj)}
+    return [span_legs(inst, s) for s, members in graphs.items()
+            if len(members) * se_order == target
+            and all(right_of[w[:nx]] == bottom_of[w[nx:]] for w in members)]
 
 
 @pytest.mark.parametrize("desc", ["abp:2:4", "vect:2:2"])
@@ -523,6 +526,21 @@ def test_corner_fillers_match_the_member_test_they_replaced(monkeypatch, desc,
     assert qcons.segal_spine_check(inst, n).passed
     assert len(filled) == corners
     assert set(filled) == {1}
+
+
+def test_a_corner_under_a_bottom_that_is_not_epi_has_no_filler(ab4):
+    # right = bottom = 2: Z/2 >-> Z/4 misses the generator of Z/4, yet
+    # the pullback graph {(a, b) : 2a = 2b} is the identity class's graph;
+    # it has 2 members where a filler needs |Z/2| |Z/2| / |Z/4| = 1
+    z2, z4 = (1,), (2,)
+    twice = Mor(z2, z4, ((2,),))
+    assert not ab4.is_epi(twice)
+    graph = {(a, b) for (a,) in ab4.elements(z2) for (b,) in ab4.elements(z2)
+             if 2 * a % 4 == 2 * b % 4}
+    assert span_from_members(ab4, z2, z2, graph) == identity_span(ab4, z2)
+    corner = (z2, z2, z4, twice, twice)
+    assert qcons._corner_classes(ab4, *corner) == []
+    assert reference_corner_classes(ab4, *corner) == []
 
 
 def test_segal_spine_guard_reads_the_nerve_level_limit(monkeypatch, ab4):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcat import simpset
 from qcat.delta import (EDGEWISE, edgewise_structure_map, parse_word,
-                        pullback_map, pullback_model)
+                        pullback_model)
 from qcat.exact import AbPInstance, VectInstance
 from qcat.fincat import nerve_map, nerve_model, twisted_projection
 from qcat.formats import load_category
@@ -17,7 +17,6 @@ from qcat.simpset import (
     LevelModel,
     SimplicialMap,
     SimplicialSet,
-    boundary_of_simplex,
     contractibility,
     insert_degeneracy,
     left_fibration_check,
@@ -31,6 +30,36 @@ from qcat.simpset import (
 # -- spaces and maps only the tests use -----------------------------------
 
 
+def boundary_of_simplex(m: int) -> SimplicialSet:
+    full = standard_simplex(m)
+    dims = {x: n for x, n in full.dims.items() if n < m}
+    faces = {x: full.faces[x] for x in dims if dims[x] > 0}
+    return SimplicialSet(dims, faces, None)
+
+
+def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
+    def tag(side, s):
+        return (side, s)
+
+    dims = {tag(0, s): n for s, n in x.dims.items()}
+    dims.update({tag(1, s): n for s, n in y.dims.items()})
+    faces = {}
+    for side, src in ((0, x), (1, y)):
+        for s, fs in src.faces.items():
+            faces[tag(side, s)] = tuple((w, tag(side, t)) for w, t in fs)
+    # a complete side is known in every dimension, so only truncated
+    # sides cap what the union knows
+    caps = [t for t in (x.truncation, y.truncation) if t is not None]
+    return SimplicialSet(dims, faces, min(caps) if caps else None, check=False)
+
+
+def pullback_map(word, f: SimplicialMap, depth: int) -> SimplicialMap:
+    """Functorial action on maps: act on level tokens by f."""
+    src = pullback_model(word, f.source, depth).compile()
+    dst = pullback_model(word, f.target, depth).compile()
+    return src.map_to(dst, lambda token, n: f.on_value(token))
+
+
 def simplicial_circle() -> SimplicialSet:
     return SimplicialSet({"pt": 0, "loop": 1},
                          {"loop": (((), "pt"), ((), "pt"))}, None)
@@ -38,7 +67,7 @@ def simplicial_circle() -> SimplicialSet:
 
 def fold_map(x: SimplicialSet) -> SimplicialMap:
     """The codiagonal X + X -> X."""
-    both = x.disjoint_union(x)
+    both = disjoint_union(x, x)
     return SimplicialMap(both, x, {(side, s): ((), s) for side, s in both.dims})
 
 
@@ -186,7 +215,7 @@ def test_pi1_matches_the_per_component_reference(rp2):
     spaces = []
     for a in bases:
         for b in bases:
-            spaces += [a.disjoint_union(b), a.disjoint_union(b).opposite()]
+            spaces += [disjoint_union(a, b), disjoint_union(a, b).opposite()]
     assert len(spaces) == 50
     for space in spaces:
         assert space.pi1_presentation() == reference_pi1_presentation(space)
@@ -266,7 +295,7 @@ def test_contractibility_certificates(rp2):
     torsion = contractibility(rp2, 2)
     assert torsion.status == "not_contractible"
 
-    two_points = standard_simplex(0).disjoint_union(standard_simplex(0))
+    two_points = disjoint_union(standard_simplex(0), standard_simplex(0))
     assert contractibility(two_points, 0).status == "not_contractible"
 
     shallow = SimplicialSet({"v": 0}, {}, truncation=1)
@@ -708,7 +737,7 @@ def test_left_fibration_failure_matches_the_candidate_scan(monkeypatch):
     # lift uniquely, but each of several horn families over the 2-simplex
     # has no lift, so the failure named is the first family enumerated
     edge = boundary_of_simplex(2)
-    both = edge.disjoint_union(edge)
+    both = disjoint_union(edge, edge)
     fold = SimplicialMap(both, standard_simplex(2),
                          {(side, x): ((), x) for side, x in both.dims})
     got = left_fibration_check(fold, 3)
