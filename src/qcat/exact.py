@@ -300,11 +300,13 @@ def span_from_legs(inst: Instance, e: Mor, m: Mor) -> Span:
 def span_legs(inst: Instance, s: Span):
     """The legs (w, e: w ->> src, m: w >-> dst) that `all_spans` built the
     class s from; raises ValueError if s is no span class of the instance."""
-    if s not in inst._span_legs:
+    legs = inst._span_legs.get(s)
+    if legs is None:
         all_spans(inst, s.src, s.dst)
-        if s not in inst._span_legs:
+        legs = inst._span_legs.get(s)
+        if legs is None:
             raise ValueError(f"{s!r} is no span class of {inst.describe()}")
-    return inst._span_legs[s]
+    return legs
 
 
 def identity_span(inst: Instance, x) -> Span:

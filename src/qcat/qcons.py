@@ -7,12 +7,12 @@ group of this category (Quillen: pi_1 BQC = K_0 C), whose edge-path
 presentation is read off its arrows and composition table.
 
 Ambigressive diagrams (the triangular grids whose elementary squares are
-all ambigressive pullbacks) are grown from spine strings corner by corner.
-A corner's filler is the span class of its pair whose table is the
-corner's pullback graph, read off the element-index tables of its two
-legs; the table is canonical, so a corner has at most one filler, and
-the spine comparison against composable span strings checks that each
-corner has one.
+all ambigressive pullbacks) are filled in from spine strings corner by
+corner.  A corner's filler is the span class of its pair whose table is
+the corner's pullback graph, read off the element-index tables of its
+two legs; the table is canonical, so a corner has at most one filler and
+a spine string at most one diagram, and the spine comparison against
+composable span strings checks that each corner has one.
 """
 
 from . import fincat
@@ -146,15 +146,15 @@ def _spine_strings(inst: Instance, n: int):
                           n, "segal spine")
 
 
-def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
-    """All fillers X of the elementary square
+def _corner_filler(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
+    """The filler X of the elementary square
 
             X --e-->  ne_obj
             |m          |right
             v           v
          sw_obj -bottom-> se_obj
 
-    up to an iso of X over both legs, as (X, e, m).  Such a class is a
+    up to an iso of X over both legs, as (X, e, m), or None.  It is a
     span class ne_obj <<- X >-> sw_obj of order |ne_obj| |sw_obj| / |se_obj|
     with its graph in the pullback graph P = {(a, b) : right(a) = bottom(b)}.
     P has that order when bottom is epi, and as right is mono it is the
@@ -164,16 +164,17 @@ def _corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
     table = tuple(over.get(c, -1) for c in inst.table(bottom))
     if (len(table) - table.count(-1)) * inst.order(se_obj) != \
             inst.order(ne_obj) * inst.order(sw_obj):
-        return []
+        return None
     try:
-        return [span_legs(inst, Span(ne_obj, sw_obj, table))]
+        return span_legs(inst, Span(ne_obj, sw_obj, table))
     except ValueError:
-        return []
+        return None
 
 
 def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     """All ambigressive diagrams of size n up to diagram isomorphism
-    fixing the diagonal objects pointwise."""
+    fixing the diagonal objects pointwise: one per spine string whose
+    corners all have a filler."""
     if n < 0:
         raise ValueError("diagram size must be nonnegative")
     if n > 3:
@@ -182,35 +183,27 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
         return [AmbigressiveDiagram(0, {(0, 0): x}, {}, {})
                 for x in inst.objects()]
 
+    # cells outward: the spine's spans at distance 1, then the corners
+    cells = [(i, i + dist) for dist in range(1, n + 1)
+             for i in range(n - dist + 1)]
     out = []
     for spine in _spine_strings(inst, n):
         verts = (spine[0].src, *(s.dst for s in spine))
-        partials = [AmbigressiveDiagram(
-            n, {(i, i): v for i, v in enumerate(verts)}, {}, {})]
-        # fill levels outward: the spine's spans at distance 1, then the
-        # corners; each cell's fillers are independent classes because the
-        # mono legs make relabeling isos unique
-        for dist in range(1, n + 1):
-            for i in range(0, n - dist + 1):
-                j = i + dist
-                grown = []
-                for d in partials:
-                    if dist == 1:
-                        fillers = [span_legs(inst, spine[i])]
-                    else:
-                        fillers = _corner_classes(
-                            inst, d.objects[(i, j - 1)], d.objects[(i + 1, j)],
-                            d.objects[(i + 1, j - 1)], d.monos[(i, j - 1)],
-                            d.epis[(i + 1, j)])
-                    for v, e, m in fillers:
-                        d2 = AmbigressiveDiagram(
-                            n, dict(d.objects), dict(d.epis), dict(d.monos))
-                        d2.objects[(i, j)] = v
-                        d2.epis[(i, j)] = e
-                        d2.monos[(i, j)] = m
-                        grown.append(d2)
-                partials = grown
-        out.extend(partials)
+        objects = {(i, i): v for i, v in enumerate(verts)}
+        epis, monos = {}, {}
+        for i, j in cells:
+            if j == i + 1:
+                filler = span_legs(inst, spine[i])
+            else:
+                filler = _corner_filler(
+                    inst, objects[(i, j - 1)], objects[(i + 1, j)],
+                    objects[(i + 1, j - 1)], monos[(i, j - 1)],
+                    epis[(i + 1, j)])
+                if filler is None:
+                    break
+            objects[(i, j)], epis[(i, j)], monos[(i, j)] = filler
+        else:
+            out.append(AmbigressiveDiagram(n, objects, epis, monos))
     return out
 
 

@@ -423,20 +423,21 @@ def test_corner_fillers_match_the_orbit_search_oracle(monkeypatch, desc, n,
     caches = ({(v, y): inst.epis(v, y) for v in objs for y in objs},
               {(v, y): inst.monos(v, y) for v in objs for y in objs},
               {v: inst.isos(v, v) for v in objs})
-    real = qcons._corner_classes
+    real = qcons._corner_filler
     filled = []
 
     def checked(inst_, *corner):
         got = real(inst_, *corner)
+        got_list = [] if got is None else [got]
         want = corner_classes_by_orbit(inst_, *corner, *caches)
-        classes = [span_from_legs(inst, e, m) for _, e, m in got]
-        assert len(set(classes)) == len(got) == len(want)
+        classes = [span_from_legs(inst, e, m) for _, e, m in got_list]
+        assert len(set(classes)) == len(got_list) == len(want)
         assert set(classes) == {span_from_legs(inst, e, m)
                                 for _, e, m in want}
-        filled.append(len(got))
+        filled.append(len(got_list))
         return got
 
-    monkeypatch.setattr(qcons, "_corner_classes", checked)
+    monkeypatch.setattr(qcons, "_corner_filler", checked)
     assert qcons.segal_spine_check(inst, n).passed
     assert len(filled) == corners
     # the filler of a corner is its pullback, found once
@@ -513,16 +514,17 @@ def test_spine_strings_match_the_walk_they_replaced(desc):
 def test_corner_fillers_match_the_member_test_they_replaced(monkeypatch, desc,
                                                             n, corners):
     inst = parse_instance(desc)
-    real = qcons._corner_classes
+    real = qcons._corner_filler
     filled = []
 
     def checked(inst_, *corner):
         got = real(inst_, *corner)
-        assert got == reference_corner_classes(inst_, *corner)
-        filled.append(len(got))
+        got_list = [] if got is None else [got]
+        assert got_list == reference_corner_classes(inst_, *corner)
+        filled.append(len(got_list))
         return got
 
-    monkeypatch.setattr(qcons, "_corner_classes", checked)
+    monkeypatch.setattr(qcons, "_corner_filler", checked)
     assert qcons.segal_spine_check(inst, n).passed
     assert len(filled) == corners
     assert set(filled) == {1}
@@ -539,8 +541,90 @@ def test_a_corner_under_a_bottom_that_is_not_epi_has_no_filler(ab4):
              if 2 * a % 4 == 2 * b % 4}
     assert span_from_members(ab4, z2, z2, graph) == identity_span(ab4, z2)
     corner = (z2, z2, z4, twice, twice)
-    assert qcons._corner_classes(ab4, *corner) == []
+    assert qcons._corner_filler(ab4, *corner) is None
     assert reference_corner_classes(ab4, *corner) == []
+
+
+def reference_enumerate_ambigressive(inst: Instance, n: int):
+    """The diagrams of size n grown as lists of partial diagrams, each
+    cell's fillers copied into a fresh diagram: the loop that the
+    in-place fill replaced, with corner fillers from the member test."""
+    if n == 0:
+        return [AmbigressiveDiagram(0, {(0, 0): x}, {}, {})
+                for x in inst.objects()]
+    out = []
+    for spine in qcons._spine_strings(inst, n):
+        verts = (spine[0].src, *(s.dst for s in spine))
+        partials = [AmbigressiveDiagram(
+            n, {(i, i): v for i, v in enumerate(verts)}, {}, {})]
+        for dist in range(1, n + 1):
+            for i in range(0, n - dist + 1):
+                j = i + dist
+                grown = []
+                for d in partials:
+                    if dist == 1:
+                        fillers = [span_legs(inst, spine[i])]
+                    else:
+                        fillers = reference_corner_classes(
+                            inst, d.objects[(i, j - 1)], d.objects[(i + 1, j)],
+                            d.objects[(i + 1, j - 1)], d.monos[(i, j - 1)],
+                            d.epis[(i + 1, j)])
+                    for v, e, m in fillers:
+                        d2 = AmbigressiveDiagram(
+                            n, dict(d.objects), dict(d.epis), dict(d.monos))
+                        d2.objects[(i, j)] = v
+                        d2.epis[(i, j)] = e
+                        d2.monos[(i, j)] = m
+                        grown.append(d2)
+                partials = grown
+        out.extend(partials)
+    return out
+
+
+def _diagram_items(d: AmbigressiveDiagram):
+    return (d.n, list(d.objects.items()), list(d.epis.items()),
+            list(d.monos.items()))
+
+
+@pytest.mark.parametrize("desc,n", [
+    *(("abp:2:4", n) for n in range(4)), *(("vect:2:1", n) for n in range(4)),
+    ("vect:2:2", 3), ("abp:3:9", 2)])
+def test_diagrams_match_the_partial_list_loop_they_replaced(desc, n):
+    # same diagrams, same order, same dict insertion order
+    inst = parse_instance(desc)
+    got = [_diagram_items(d) for d in qcons.enumerate_ambigressive(inst, n)]
+    want = [_diagram_items(d)
+            for d in reference_enumerate_ambigressive(inst, n)]
+    assert got == want
+
+
+def test_a_corner_without_a_filler_fails_the_segal_check(monkeypatch, capsys,
+                                                         ab4):
+    # withhold the filler of the square of identities on Z/2: the spines
+    # through it are the 2 spans into Z/2 with identity mono leg, times the
+    # 1 + 1 + 3 spans out of Z/2 with identity epi leg into Z/2, Z/4 and
+    # Z/2+Z/2
+    c2 = (1,)
+    ident = ab4.identity(c2)
+    withheld = (c2, c2, c2, ident, ident)
+    real = qcons._corner_filler
+    dropped = []
+
+    def without(inst_, *corner):
+        if corner == withheld:
+            dropped.append(corner)
+            return None
+        return real(inst_, *corner)
+
+    monkeypatch.setattr(qcons, "_corner_filler", without)
+    rep = qcons.segal_spine_check(ab4, 2)
+    assert len(dropped) == 10
+    assert (rep.diagram_classes, rep.composable_strings) == (154 - 10, 154)
+    assert not rep.passed
+    # a negative verdict is data, not an error
+    assert main(["segal", "--instance", "abp:2:4", "--n", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["diagram_classes"], report["passed"]) == (144, False)
 
 
 def test_segal_spine_guard_reads_the_nerve_level_limit(monkeypatch, ab4):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from qcat import qcons
 from qcat.delta import EDGEWISE, pullback_model
+from qcat.exact import AbPInstance
 from qcat.fincat import chain_poset, nerve_model
 from qcat.simpset import standard_simplex
 
@@ -51,3 +53,14 @@ def test_compile_result_has_the_fields_the_tracer_reads():
         TRACER_MODULE._compile_after(rec, (model,), result)
     assert rec.counts["simpset.cells"] == 3 + 5
     assert rec.counts["fincat.nerve_tokens"] == 2 + 3
+
+
+def test_diagram_count_is_the_length_of_the_enumerated_list():
+    """`qcons.diagrams` is `len` of what `enumerate_ambigressive` returns,
+    so it must stay a sized list: 154 diagrams at n = 2 on abp:2:4."""
+    before, after = TRACER_MODULE.HOOKS["qcons.enumerate_ambigressive"]
+    assert before is None
+    rec = TRACER_MODULE.Recorder("contract")
+    inst = AbPInstance(2, 4)
+    after(rec, (inst, 2), qcons.enumerate_ambigressive(inst, 2))
+    assert rec.counts["qcons.diagrams"] == 154
