@@ -282,14 +282,16 @@ def _string_counts(objects, arrows):
         ending = nxt
 
 
-def require_strings(stage: str, objects, arrows, top: int):
-    """Raise GuardError, naming `stage`, if a nerve level through `top` of
-    the graph `arrows` (id -> (source, target)) is over NERVE_LEVEL_LIMIT."""
+def require_strings(stage: str, objects, arrows, top: int) -> int:
+    """The number of strings at level `top` >= 0 of the nerve of the graph
+    `arrows` (id -> (source, target)); raises GuardError, naming `stage`,
+    if a level through `top` is over NERVE_LEVEL_LIMIT."""
     for n, count in zip(range(top + 1),
                         _string_counts(objects, arrows.values())):
         if count > NERVE_LEVEL_LIMIT:
             raise GuardError(f"{stage}: level {n} would hold {count} "
                              f"strings, over the limit of {NERVE_LEVEL_LIMIT}")
+    return count
 
 
 def strings(objects, arrows, n: int, stage: str) -> list:

@@ -136,14 +136,12 @@ class AmbigressiveDiagram:
         self.monos = monos
 
 
-def _spine_strings(inst: Instance, n: int):
-    """Composable strings of n span classes, as tuples of spans: level n
-    of the span category's nerve, each level counted and held to the
-    nerve's level limit before any string is built."""
+def _span_graph(inst: Instance) -> dict:
+    """The span category's arrows, span -> (source, target): the graph
+    whose level-n strings are the spines of the diagrams of size n."""
     objs = inst.objects()
-    return fincat.strings(objs, {s: (x, y) for x in objs for y in objs
-                                 for s in all_spans(inst, x, y)},
-                          n, "segal spine")
+    return {s: (x, y) for x in objs for y in objs
+            for s in all_spans(inst, x, y)}
 
 
 def _corner_filler(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
@@ -187,7 +185,8 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     cells = [(i, i + dist) for dist in range(1, n + 1)
              for i in range(n - dist + 1)]
     out = []
-    for spine in _spine_strings(inst, n):
+    for spine in fincat.strings(inst.objects(), _span_graph(inst), n,
+                                "segal spine"):
         verts = (spine[0].src, *(s.dst for s in spine))
         objects = {(i, i): v for i, v in enumerate(verts)}
         epis, monos = {}, {}
@@ -224,7 +223,8 @@ def segal_spine_check(inst: Instance, n: int) -> SegalReport:
     """Compares ambigressive diagram classes with composable span-class
     strings of the same length (the component-level Segal condition)."""
     diagrams = enumerate_ambigressive(inst, n)
-    strings = len(_spine_strings(inst, n))
+    strings = fincat.require_strings("segal spine", inst.objects(),
+                                     _span_graph(inst), n)
     return SegalReport(n, len(diagrams), strings)
 
 

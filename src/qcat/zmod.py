@@ -2,11 +2,12 @@
 
 Everything works over a "moduli vector" (m_1, ..., m_r): the group
 Z/m_1 x ... x Z/m_r, elements stored as length-r tuples reduced mod the
-componentwise moduli.  A subgroup is a frozenset of its elements, which
-is already canonical: equal subgroups are equal sets.  The Hermite basis
-of its preimage lattice in Z^r (`subgroup_key`) is computed only where a
-lattice is needed: to order the spans of `exact.all_spans`, and as the
-input of the Smith path below.
+componentwise moduli.  A subgroup is its key: the Hermite basis of its
+preimage lattice in Z^r (`subgroup_key`), which is unique, so equal
+subgroups have equal keys.  `all_subgroups` lists the keys directly as
+the triangular matrices that contain every m_i e_i, without building
+any subgroup's elements; the key rows generate the subgroup, so they
+are also the input of the Smith path below.
 
 Two paths type a subgroup.  `structure_from_killed` reads the invariant
 factors off the counts of elements killed by p^k and builds nothing
@@ -36,10 +37,6 @@ def elements(moduli: Moduli) -> list[Elem]:
 
 def zero(moduli: Moduli) -> Elem:
     return (0,) * len(moduli)
-
-
-def add(moduli: Moduli, a: Elem, b: Elem) -> Elem:
-    return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
 
 
 def mat_apply(dst_moduli: Moduli, rows, vec: Elem) -> Elem:
@@ -85,40 +82,22 @@ def hom_rows(src_moduli: Moduli, dst_moduli: Moduli):
 # -- subgroups -------------------------------------------------------------
 
 
-def all_subgroups(moduli: Moduli) -> list[frozenset]:
-    """Every subgroup, as a frozenset of elements, in a deterministic
-    order (by size, then by sorted element list).
-
-    Breadth-first from the trivial subgroup: each subgroup S found is
-    extended by one element e per coset of S other than S itself (S + <e>
-    depends only on the coset e + S).  The extension S + <e> is built as
-    the union of the cosets S + k*e for k = 0, 1, ..., stopping at the
-    first k*e that lies in S, so no generating set is ever closed.
-    """
-    els = elements(moduli)
-    trivial = frozenset({zero(moduli)})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        new = []
-        for sub in frontier:
-            covered = set(sub)
-            for e in els:
-                if e in covered:
-                    continue
-                coset = {add(moduli, e, s) for s in sub}
-                covered |= coset
-                bigger = set(sub) | coset
-                step = add(moduli, e, e)
-                while step not in sub:
-                    bigger.update(add(moduli, step, s) for s in sub)
-                    step = add(moduli, step, e)
-                bigger = frozenset(bigger)
-                if bigger not in found:
-                    found.add(bigger)
-                    new.append(bigger)
-        frontier = new
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+def all_subgroups(moduli: Moduli) -> list[tuple]:
+    """Every subgroup, as its key (`subgroup_key`), in sorted order: the
+    upper triangular matrices with pivot i dividing m_i, the entries above
+    each pivot reduced below it, and rows that contain every m_i e_i
+    (`_solve_moduli`), each of which is the key of exactly one subgroup."""
+    r = len(moduli)
+    keys = []
+    for pivots in product(*[[d for d in range(1, m + 1) if m % d == 0]
+                            for m in moduli]):
+        cells = [range(pivots[j]) if i < j else (pivots[j] if i == j else 0,)
+                 for i in range(r) for j in range(r)]
+        for flat in product(*cells):
+            lat = tuple(flat[i * r:(i + 1) * r] for i in range(r))
+            if _solve_moduli(moduli, lat) is not None:
+                keys.append(lat)
+    return sorted(keys)
 
 
 def subgroup_key(moduli: Moduli, els):
@@ -134,6 +113,24 @@ def subgroup_key(moduli: Moduli, els):
     rows += [[m if i == j else 0 for j in range(r)]
              for i, m in enumerate(moduli)]
     return hermite_rows(rows, r)
+
+
+def _solve_moduli(moduli: Moduli, lat):
+    """The rows c_i with m_i e_i = c_i·L, for L upper triangular with
+    nonzero pivots, by substitution; None when a division is inexact,
+    that is when the rows of L do not contain some m_i e_i."""
+    r = len(moduli)
+    c = []
+    for i, m in enumerate(moduli):
+        row = [0] * r
+        for j in range(i, r):
+            acc = (m if j == i else 0) - sum(row[k] * lat[k][j]
+                                              for k in range(i, j))
+            row[j], rem = divmod(acc, lat[j][j])
+            if rem:
+                return None
+        c.append(row)
+    return c
 
 
 def _exact_log(p: int, n: int) -> int:
@@ -176,23 +173,13 @@ def subgroup_basis(moduli: Moduli, gens, p: int):
     realizing them, basis[i] of order p^structure[i].
 
     With L the Hermite basis of the preimage lattice (`subgroup_key`),
-    H = L / diag(moduli).  Writing diag(moduli) = c·L and u·c·v = D in
-    Smith form, the rows of v^-1·L generate H independently, each of
-    order its Smith entry.
+    H = L / diag(moduli).  Writing diag(moduli) = c·L (`_solve_moduli`)
+    and u·c·v = D in Smith form, the rows of v^-1·L generate H
+    independently, each of order its Smith entry.
     """
     lat = subgroup_key(moduli, gens)
     r = len(moduli)
-    c = []
-    for i, m in enumerate(moduli):
-        # solve m e_i = c_i·L by substitution: L is upper triangular, and
-        # the division is exact because L contains the rows of diag(moduli)
-        row = [0] * r
-        for j in range(i, r):
-            acc = (m if j == i else 0) - sum(row[k] * lat[k][j]
-                                              for k in range(i, j))
-            row[j] = acc // lat[j][j]
-        c.append(row)
-    diag, _, v_inv = smith_form(c, r)
+    diag, _, v_inv = smith_form(_solve_moduli(moduli, lat), r)
     keep = [i for i in reversed(range(r)) if diag[i] > 1]
     basis = [tuple(sum(x * row[j] for x, row in zip(v_inv[i], lat)) % m
                    for j, m in enumerate(moduli)) for i in keep]

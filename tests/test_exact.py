@@ -35,7 +35,7 @@ from qcat.exact import (
 )
 from qcat.snf import smith_diagonal
 from span_oracles import _graph_ok, direct_sum, span_from_members, span_members
-from test_zmod import closure, structure_of
+from test_zmod import closure, reference_all_subgroups, structure_of
 
 
 def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
@@ -208,7 +208,7 @@ def sum_filter_spans(inst, x, y):
     left leg and an injective right leg, in Hermite-key order.  Returns
     the member sets."""
     moduli = inst.moduli_of(x) + inst.moduli_of(y)
-    graphs = [sub for sub in zmod.all_subgroups(moduli)
+    graphs = [sub for sub in reference_all_subgroups(moduli)
               if _graph_ok(inst, x, y, sub)[0]]
     return tuple(sorted(graphs, key=lambda sub: zmod.subgroup_key(moduli, sub)))
 

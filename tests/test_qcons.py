@@ -172,6 +172,26 @@ def test_instance_caches_stay_with_their_instance():
     assert _digests(odd) == TABLE_DIGESTS["abp:3:9"]
 
 
+def _spans_and_legs(inst):
+    objs = inst.objects()
+    spans = {(x, y): all_spans(inst, x, y) for x in objs for y in objs}
+    return spans, [span_legs(inst, s) for ss in spans.values() for s in ss]
+
+
+def test_span_order_does_not_depend_on_the_subgroup_listing(monkeypatch):
+    # all_spans sorts by the Hermite key of each graph subgroup W, so the
+    # order in which the subgroups of a target are listed cannot matter
+    want = {desc: _spans_and_legs(parse_instance(desc))
+            for desc in ("abp:2:8", "vect:2:3")}
+    real = zmod.all_subgroups
+    monkeypatch.setattr(zmod, "all_subgroups",
+                        lambda moduli: real(moduli)[::-1])
+    for desc, spans in want.items():
+        assert _spans_and_legs(parse_instance(desc)) == spans
+    assert _digests(qcons.q_category(AbPInstance(2, 4))) == \
+        TABLE_DIGESTS["abp:2:4"]
+
+
 def test_q_category_rejects_an_instance_failing_triple_verification():
     inst = AbPInstance(2, 4)
     inst.epis = inst.hom
@@ -345,18 +365,35 @@ SEGAL_CASES = [
 
 @pytest.mark.parametrize("desc,n,count", SEGAL_CASES)
 def test_segal_spine_counts(desc, n, count):
-    from qcat.exact import parse_instance
-
-    rep = qcons.segal_spine_check(parse_instance(desc), n)
+    inst = parse_instance(desc)
+    rep = qcons.segal_spine_check(inst, n)
     assert rep.passed
     assert rep.diagram_classes == count
-    assert rep.composable_strings == count
+    # the count is read off the span graph; the strings it counts are
+    # the ones enumerate_ambigressive walks
+    assert rep.composable_strings == count == len(spine_strings(inst, n))
+
+
+def test_segal_builds_the_spine_strings_once(monkeypatch, ab4):
+    # the diagrams walk the strings; the string count is read off the
+    # same span graph without building them again
+    real = fincat.strings
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(fincat, "strings", spy)
+    assert qcons.segal_spine_check(ab4, 2).composable_strings == 154
+    assert calls == [2]
 
 
 def test_segal_enumerates_the_subgroups_of_each_object_once(monkeypatch):
-    # enumerate_ambigressive and the string count both walk the spine
-    # strings; the span classes behind them are enumerated once per pair,
-    # from the subgroups of each target, which are listed once per object
+    # enumerate_ambigressive walks the spine strings and the string count
+    # reads their number off the same span graph; the span classes behind
+    # both are enumerated once per pair, from the subgroups of each
+    # target, which are listed once per object
     inst = AbPInstance(2, 4)
     calls = []
     real = zmod.all_subgroups
@@ -494,13 +531,20 @@ def reference_corner_classes(inst, ne_obj, sw_obj, se_obj, right: Mor,
             and all(right_of[w[:nx]] == bottom_of[w[nx:]] for w in members)]
 
 
+def spine_strings(inst: Instance, n: int):
+    """The spine strings that `enumerate_ambigressive` walks: level n of
+    the nerve of the span graph, as tuples of spans."""
+    return fincat.strings(inst.objects(), qcons._span_graph(inst), n,
+                          "segal spine")
+
+
 @pytest.mark.parametrize("desc", ["abp:2:4", "vect:2:2"])
 def test_spine_strings_match_the_walk_they_replaced(desc):
     # the spine strings are tuples of spans; their vertices are read off
     # the spans, and level 0 is the objects
     inst = parse_instance(desc)
     for n in range(4):
-        got = qcons._spine_strings(inst, n)
+        got = spine_strings(inst, n)
         if n == 0:
             read = [((x,), ()) for x in got]
         else:
@@ -553,7 +597,7 @@ def reference_enumerate_ambigressive(inst: Instance, n: int):
         return [AmbigressiveDiagram(0, {(0, 0): x}, {}, {})
                 for x in inst.objects()]
     out = []
-    for spine in qcons._spine_strings(inst, n):
+    for spine in spine_strings(inst, n):
         verts = (spine[0].src, *(s.dst for s in spine))
         partials = [AmbigressiveDiagram(
             n, {(i, i): v for i, v in enumerate(verts)}, {}, {})]

@@ -15,6 +15,10 @@ from qcat import zmod
 # -- element-level helpers that only the tests use -------------------------
 
 
+def add(moduli, a, b):
+    return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+
 def scale(moduli, k, a):
     return tuple((k * x) % m for x, m in zip(a, moduli))
 
@@ -28,7 +32,7 @@ def closure(moduli, gens):
         nxt = []
         for s in frontier:
             for g in gens:
-                t = zmod.add(moduli, s, g)
+                t = add(moduli, s, g)
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
@@ -77,8 +81,45 @@ def snf_structure(moduli, els, p):
     return tuple(sorted(exps, reverse=True))
 
 
-# -- the backtracking and closure constructions that `subgroup_basis` and
-#    `quotient_map` replaced, kept as oracles --------------------------------
+# -- the coset walk, backtracking and closure constructions that
+#    `all_subgroups`, `subgroup_basis` and `quotient_map` replaced, kept as
+#    oracles ------------------------------------------------------------------
+
+
+def reference_all_subgroups(moduli):
+    """Every subgroup, as a frozenset of elements, by size and then by
+    sorted element list.
+
+    Breadth-first from the trivial subgroup: each subgroup S found is
+    extended by one element e per coset of S other than S itself (S + <e>
+    depends only on the coset e + S).  The extension S + <e> is built as
+    the union of the cosets S + k*e for k = 0, 1, ..., stopping at the
+    first k*e that lies in S, so no generating set is ever closed.
+    """
+    els = zmod.elements(moduli)
+    trivial = frozenset({zmod.zero(moduli)})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        new = []
+        for sub in frontier:
+            covered = set(sub)
+            for e in els:
+                if e in covered:
+                    continue
+                coset = {add(moduli, e, s) for s in sub}
+                covered |= coset
+                bigger = set(sub) | coset
+                step = add(moduli, e, e)
+                while step not in sub:
+                    bigger.update(add(moduli, step, s) for s in sub)
+                    step = add(moduli, step, e)
+                bigger = frozenset(bigger)
+                if bigger not in found:
+                    found.add(bigger)
+                    new.append(bigger)
+        frontier = new
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def reference_element_order_exp(moduli, x, p):
@@ -134,7 +175,7 @@ class ReferenceQuotientView:
             if x in rep:
                 continue
             for k in self.kernel:
-                rep[zmod.add(moduli, x, k)] = x  # x is minimal
+                rep[add(moduli, x, k)] = x  # x is minimal
         self._rep = rep
         self.reps = sorted(set(rep.values()))
         self.structure = self._structure()
@@ -142,7 +183,7 @@ class ReferenceQuotientView:
         self._coords = self._coordinate_chart()
 
     def _q_add(self, a, b):
-        return self._rep[zmod.add(self.moduli, a, b)]
+        return self._rep[add(self.moduli, a, b)]
 
     def _q_order_exp(self, a):
         k = 0
@@ -234,7 +275,7 @@ CASES = [(2, (2, 2, 4)), (2, (4, 4)), (2, (2, 8)), (3, (3, 9)),
 
 @pytest.mark.parametrize("p,moduli", CASES)
 def test_structure_matches_snf_oracle_on_every_subgroup(p, moduli):
-    for sub in zmod.all_subgroups(moduli):
+    for sub in reference_all_subgroups(moduli):
         assert structure_of(moduli, sub, p) == \
             snf_structure(moduli, sub, p)
 
@@ -252,7 +293,7 @@ def generator_lists(moduli, sub):
 
 @pytest.mark.parametrize("p,moduli", BASIS_CASES)
 def test_basis_generates_and_realizes_structure(p, moduli):
-    for sub in zmod.all_subgroups(moduli):
+    for sub in reference_all_subgroups(moduli):
         struct = structure_of(moduli, sub, p)
         ref = reference_basis_of(moduli, sub, p)
         ref_orders = tuple(reference_element_order_exp(moduli, b, p)
@@ -275,7 +316,7 @@ def test_basis_generates_and_realizes_structure(p, moduli):
 @pytest.mark.parametrize("p,moduli", CASES)
 def test_subgroup_key_is_canonical(p, moduli):
     seen = {}
-    for sub in zmod.all_subgroups(moduli):
+    for sub in reference_all_subgroups(moduli):
         key = zmod.subgroup_key(moduli, sub)
         assert key not in seen  # distinct subgroups, distinct keys
         seen[key] = sub
@@ -318,7 +359,23 @@ def closure_all_subgroups(moduli):
                          + [(2, 2, 2, 2), (4, 2, 2), (2, 2, 2, 2, 2)],
                          ids=str)
 def test_coset_extension_matches_closure_enumeration(moduli):
-    assert zmod.all_subgroups(moduli) == closure_all_subgroups(moduli)
+    assert reference_all_subgroups(moduli) == closure_all_subgroups(moduli)
+
+
+@pytest.mark.parametrize("moduli", [()] + [m for _, m in BASIS_CASES]
+                         + [(2, 2, 2, 2, 2), (8, 4, 2)], ids=str)
+def test_all_subgroups_lists_the_keys_of_the_coset_walk(moduli):
+    assert zmod.all_subgroups(moduli) == sorted(
+        zmod.subgroup_key(moduli, sub)
+        for sub in reference_all_subgroups(moduli))
+
+
+def test_solve_moduli_rejects_a_lattice_that_misses_a_modulus():
+    # the rows (2, 1), (0, 2) are triangular with pivots dividing (2, 4)
+    # and contain 4e_1, but 2e_0 = (2, 1) - (0, 1) is not in their span
+    assert zmod._solve_moduli((2, 4), ((2, 1), (0, 2))) is None
+    assert zmod._solve_moduli((2, 4), ((2, 0), (0, 2))) == [[1, 0], [0, 2]]
+    assert zmod._solve_moduli((), ()) == []
 
 
 def gaussian_binomial(n, k, q):
@@ -396,8 +453,8 @@ def test_hom_rows_counts_and_welldefinedness():
         for x in zmod.elements((2, 4)):
             y = zmod.mat_apply((4, 2), rows, x)
             # additive on a generating sample
-            z = zmod.mat_apply((4, 2), rows, zmod.add((2, 4), x, x))
-            assert z == zmod.add((4, 2), y, y)
+            z = zmod.mat_apply((4, 2), rows, add((2, 4), x, x))
+            assert z == add((4, 2), y, y)
 
 
 def test_mat_mul_matches_pointwise_composition():
@@ -429,7 +486,7 @@ def test_quotient_view_structures():
                          + [c for c in BASIS_CASES if c != (2, (2, 2, 2))])
 def test_quotient_projection_matrix(p, moduli):
     els = zmod.elements(moduli)
-    for sub in zmod.all_subgroups(moduli):
+    for sub in reference_all_subgroups(moduli):
         ref = ReferenceQuotientView(moduli, sub, p)
         ref_dst = tuple(p ** e for e in ref.structure)
         ref_rows = ref.matrix_from_ambient()
@@ -445,8 +502,8 @@ def test_quotient_projection_matrix(p, moduli):
             # a homomorphism on the group, not just on representatives
             for x in els:
                 for y in els[:: max(1, len(els) // 8)]:
-                    assert image[zmod.add(moduli, x, y)] == \
-                        zmod.add(dst, image[x], image[y])
+                    assert image[add(moduli, x, y)] == \
+                        add(dst, image[x], image[y])
             # kernel the subgroup, onto, and the same cosets as the chart
             assert {x for x in els if not any(image[x])} == sub
             assert len(set(image.values())) == prod(dst)
