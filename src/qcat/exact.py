@@ -15,9 +15,9 @@ elements of Y is the unique representative of the span's isomorphism
 class.  `all_spans` enumerates the classes as the pairs (V <= Y, epi
 V ->> X) and records each class's legs for `span_legs`; composition is
 composition of tables, and the Hermite key of W (`zmod.subgroup_key`,
-read off the legs) only orders `all_spans`.
-Kernels, span apexes and pullbacks are built by `Instance._subobject`,
-cokernels by `Instance._quotient`.
+read off the legs) only orders `all_spans`; a cospan's pullback is the
+class whose table is its graph (`pullback_legs`).  Kernels and span
+apexes are built by `Instance._subobject`, cokernels by `_quotient`.
 """
 
 from __future__ import annotations
@@ -90,10 +90,7 @@ class Instance:
         return els
 
     def order(self, x) -> int:
-        n = 1
-        for m in self.moduli_of(x):
-            n *= m
-        return n
+        return prod(self.moduli_of(x))
 
     def identity(self, x) -> Mor:
         return Mor(x, x, zmod.identity_rows(self.moduli_of(x)))
@@ -125,12 +122,11 @@ class Instance:
 
     def is_mono(self, f: Mor) -> bool:
         z = zmod.zero(self.moduli_of(f.dst))
-        hits = sum(1 for v in self.elements(f.src) if self.apply(f, v) == z)
-        return hits == 1
+        return [self.apply(f, v) for v in self.elements(f.src)].count(z) == 1
 
     def is_epi(self, f: Mor) -> bool:
-        image = {self.apply(f, v) for v in self.elements(f.src)}
-        return len(image) == self.order(f.dst)
+        return len({self.apply(f, v) for v in self.elements(f.src)}) == \
+            self.order(f.dst)
 
     def monos(self, x, y) -> list[Mor]:
         return [f for f in self.hom(x, y) if self.is_mono(f)]
@@ -216,30 +212,21 @@ class AbPInstance(Instance):
         self._moduli = {}
 
     def objects(self):
-        out = [()]
-        total = 1
-        while self.p * total <= self.bound:
-            total *= self.p
-        max_sum = 0
-        t = total
-        while t > 1:
-            t //= self.p
-            max_sum += 1
-        for s in range(1, max_sum + 1):
-            out.extend(self._partitions(s))
-        return tuple(sorted(out, key=lambda e: (sum(e), e)))
+        # the types of order p^s for every s with p^s within the bound
+        top = 0
+        while self.p ** (top + 1) <= self.bound:
+            top += 1
+        return tuple(sorted((e for s in range(top + 1)
+                             for e in self._partitions(s, s)),
+                            key=lambda e: (sum(e), e)))
 
     @staticmethod
-    def _partitions(s, cap=None):
-        if cap is None:
-            cap = s
+    def _partitions(s, cap):
+        """The partitions of s into parts of at most cap, largest first."""
         if s == 0:
             return [()]
-        out = []
-        for first in range(min(s, cap), 0, -1):
-            for rest in AbPInstance._partitions(s - first, first):
-                out.append((first,) + rest)
-        return out
+        return [(first,) + rest for first in range(min(s, cap), 0, -1)
+                for rest in AbPInstance._partitions(s - first, first)]
 
     def moduli_of(self, x):
         moduli = self._moduli.get(x)
@@ -383,9 +370,7 @@ class Square(Record):
 
 
 def square_commutes(inst: Instance, sq: Square) -> bool:
-    lhs = inst.compose(sq.right, sq.top)
-    rhs = inst.compose(sq.bottom, sq.left)
-    return lhs == rhs
+    return inst.compose(sq.right, sq.top) == inst.compose(sq.bottom, sq.left)
 
 
 def _require_legs(inst: Instance, i: Mor, e: Mor, shared: bool, end: str):
@@ -410,20 +395,35 @@ def _require_ambigressive(inst: Instance, sq: Square, kind: str, w, y):
     return sq
 
 
+def pullback_legs(inst: Instance, right: Mor, bottom: Mor):
+    """The pullback of right: ne >-> se along bottom: sw ->> se, as the
+    legs (w, top: w ->> ne, left: w >-> sw) of the span class whose graph
+    is P = {(a, b) : right(a) = bottom(b)}, or None if no class has it.
+    As right is mono, P is the graph of a partial map sw -> ne, read off
+    the legs' tables; only |P| |se| = |ne| |sw| is checked, not the legs."""
+    over = {c: a for a, c in enumerate(inst.table(right))}
+    table = tuple(over.get(c, -1) for c in inst.table(bottom))
+    if (len(table) - table.count(-1)) * inst.order(right.dst) != \
+            inst.order(right.src) * inst.order(bottom.src):
+        return None
+    try:
+        return span_legs(inst, Span(right.src, bottom.src, table))
+    except ValueError:
+        return None
+
+
 def ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
-    """Pullback of the cospan i: U >-> Y along e: V ->> Y, as the kernel
-    of the difference map U + V -> Y.  The returned square has the
-    pullback at nw, i at right, e at bottom."""
+    """Pullback of the cospan i: U >-> Y along e: V ->> Y, by
+    `pullback_legs`.  The returned square has the pullback at nw, i at
+    right, e at bottom."""
     _require_legs(inst, i, e, i.dst == e.dst, "target")
-    mu = inst.moduli_of(i.src)
-    mv = inst.moduli_of(e.src)
-    moduli = mu + mv
-    nu = len(mu)
-    members = [uv for uv in zmod.elements(moduli)
-               if inst.apply(i, uv[:nu]) == inst.apply(e, uv[nu:])]
-    w, rows = inst._subobject(moduli, members)
-    sq = Square(top=Mor(w, i.src, rows[:nu]), left=Mor(w, e.src, rows[nu:]),
-                right=i, bottom=e)
+    legs = pullback_legs(inst, i, e)
+    if legs is None:
+        raise ValueError(f"ambigressive pullback: no span class "
+                         f"{inst.label(i.src)} <<- W >-> {inst.label(e.src)} "
+                         f"has the pullback graph")
+    w, top, left = legs
+    sq = Square(top=top, left=left, right=i, bottom=e)
     return _require_ambigressive(inst, sq, "pullback", w, i.dst)
 
 
@@ -575,8 +575,7 @@ def verify_triple(inst: Instance) -> TripleReport:
                         typed[key] = inst.object_of_structure(struct)
                     except ValueError:
                         typed[key] = None
-                w_obj = typed[key]
-                if w_obj is None or w_obj not in bounded:
+                if typed[key] not in bounded:   # None when W has no type
                     problems.append("pullback escapes bounds")
                 if problems:
                     where = (f"i: {inst.label(u)}>->{inst.label(y)}, "

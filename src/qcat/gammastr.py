@@ -13,7 +13,9 @@ number of its image, or -1 for the basepoint.  Sets of cuts are bitmasks.
 """
 
 from itertools import combinations, product as iproduct
+from math import comb
 
+from .errors import SIZE_LIMIT, GuardError
 from .fincat import FiniteCategory, FunctorData, composites
 from .ordmaps import DeltaMap, all_maps
 from .record import Record
@@ -225,13 +227,34 @@ def _spread(mask: int, width: int) -> int:
                if mask >> k & 1)
 
 
+# A comparison is a cut-table read of about 1.3 us on a 2-CPU host: 18 s
+# for u-functoriality through arity 6, 34 s for retraction-naturality at 4.
+COMPARISON_LIMIT = 10 * SIZE_LIMIT
+
+
+def _require_comparisons(check: str, max_arity: int, count):
+    """Raise unless max_arity >= 0 and count(n), the comparisons through
+    arity n, is within the limit for each n up to it, naming the first n
+    over it: the counts grow with n, so a huge max_arity costs nothing."""
+    if max_arity < 0:
+        raise ValueError("max arity must be nonnegative")
+    for n in range(max_arity + 1):
+        if count(n) > COMPARISON_LIMIT:
+            raise GuardError(f"{check}: arity {n} would make {count(n)} "
+                             "comparisons, over the limit of "
+                             f"{COMPARISON_LIMIT}")
+
+
 def u_functoriality_report(max_arity: int) -> CheckReport:
     """Exhaustively compare u(g o h) with u(h) o u(g) over all
     composable pairs of monotone maps with arities up to max_arity,
     as cut tables: u(h) o u(g) reads h's table at each entry of g's."""
-    if max_arity < 0:
-        raise ValueError("max arity must be nonnegative")
     arities = range(max_arity + 1)
+    # one comparison per composable pair [a] -> [b] -> [c]; [a] -> [b] has
+    # C(a+b+1, a+1) monotone maps
+    _require_comparisons("u-functoriality", max_arity, lambda n: sum(
+        comb(a + b + 1, a + 1) * comb(b + c + 1, b + 1)
+        for a in range(n + 1) for b in range(n + 1) for c in range(n + 1)))
     rows = {}  # (a, b) -> (values, cut table) of each map [a] -> [b]
     table = {c: {} for c in arities}  # c -> values -> cut table
     for a in arities:
@@ -261,9 +284,15 @@ def retraction_naturality_report(max_arity: int) -> CheckReport:
     sets back along the cut action, for single maps and for smashed
     pairs of maps with arities up to max_arity.  Each preimage is taken
     through a cut table: the map's own, or the smashed pair's."""
-    if max_arity < 0:
-        raise ValueError("max arity must be nonnegative")
     arities = range(1, max_arity + 1)
+
+    def comparisons(n):
+        # one per map [s] -> [t] and edge [1] -> [s], and one per pair
+        edges = sum(comb(s + t + 1, s + 1) * comb(s + 2, 2)
+                    for s in range(1, n + 1) for t in range(1, n + 1))
+        return edges + edges * edges
+
+    _require_comparisons("retraction-naturality", max_arity, comparisons)
     maps = [g for s in arities for t in arities for g in all_maps(s, t)]
     numbers, tables = _cut_tables(maps)
     checked = 0

@@ -8,10 +8,9 @@ presentation is read off its arrows and composition table.
 
 Ambigressive diagrams (the triangular grids whose elementary squares are
 all ambigressive pullbacks) are filled in from spine strings corner by
-corner.  A corner's filler is the span class of its pair whose table is
-the corner's pullback graph, read off the element-index tables of its
-two legs; the table is canonical, so a corner has at most one filler and
-a spine string at most one diagram, and the spine comparison against
+corner.  A corner's filler is the pullback of its two legs, a span
+class (`exact.pullback_legs`), so a corner has at most one filler and a
+spine string at most one diagram; the spine comparison against
 composable span strings checks that each corner has one.
 """
 
@@ -19,10 +18,9 @@ from . import fincat
 from .errors import GuardError
 from .exact import (
     Instance,
-    Mor,
-    Span,
     all_spans,
     identity_span,
+    pullback_legs,
     span_compose,
     span_legs,
     verify_triple,
@@ -144,31 +142,6 @@ def _span_graph(inst: Instance) -> dict:
             for s in all_spans(inst, x, y)}
 
 
-def _corner_filler(inst, ne_obj, sw_obj, se_obj, right: Mor, bottom: Mor):
-    """The filler X of the elementary square
-
-            X --e-->  ne_obj
-            |m          |right
-            v           v
-         sw_obj -bottom-> se_obj
-
-    up to an iso of X over both legs, as (X, e, m), or None.  It is a
-    span class ne_obj <<- X >-> sw_obj of order |ne_obj| |sw_obj| / |se_obj|
-    with its graph in the pullback graph P = {(a, b) : right(a) = bottom(b)}.
-    P has that order when bottom is epi, and as right is mono it is the
-    graph of the partial map sw_obj -> ne_obj that sends b to the a with
-    right(a) = bottom(b); its table is looked up among the pair's classes."""
-    over = {c: a for a, c in enumerate(inst.table(right))}
-    table = tuple(over.get(c, -1) for c in inst.table(bottom))
-    if (len(table) - table.count(-1)) * inst.order(se_obj) != \
-            inst.order(ne_obj) * inst.order(sw_obj):
-        return None
-    try:
-        return span_legs(inst, Span(ne_obj, sw_obj, table))
-    except ValueError:
-        return None
-
-
 def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     """All ambigressive diagrams of size n up to diagram isomorphism
     fixing the diagonal objects pointwise: one per spine string whose
@@ -194,10 +167,8 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
             if j == i + 1:
                 filler = span_legs(inst, spine[i])
             else:
-                filler = _corner_filler(
-                    inst, objects[(i, j - 1)], objects[(i + 1, j)],
-                    objects[(i + 1, j - 1)], monos[(i, j - 1)],
-                    epis[(i + 1, j)])
+                filler = pullback_legs(inst, monos[(i, j - 1)],
+                                       epis[(i + 1, j)])
                 if filler is None:
                     break
             objects[(i, j)], epis[(i, j)], monos[(i, j)] = filler

@@ -243,6 +243,23 @@ def test_heavy_gamma_reports_match_their_recorded_digests():
     assert fresh_digests(GAMMA_REPORTS) == GAMMA_REPORTS
 
 
+@pytest.mark.parametrize("check,arity,over,count", [
+    ("u-functoriality", 6, 6, 14157241),
+    ("retraction-naturality", 4, 4, 24024702),
+    ("u-functoriality", 10 ** 6, 6, 14157241),
+    ("retraction-naturality", 10 ** 6, 4, 24024702)])
+def test_gamma_checks_count_their_comparisons_before_listing_any_map(
+        check, arity, over, count):
+    # about 18 s and 34 s of comparisons at the first arity over the limit;
+    # the counts are closed forms, taken arity by arity up to that one
+    done = run_fresh("gamma", "--check", check, "--max-arity", str(arity))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (f"qcat gamma: guard: {check}: arity {over} would "
+                           f"make {count} comparisons, over the limit of "
+                           f"10000000\n")
+
+
 def test_triple_verification_counts_the_maps_before_listing_any():
     # abp:2:32 would list 77,020,054 maps; the count alone is instant
     done = run_fresh("check-instance", "--instance", "abp:2:32")

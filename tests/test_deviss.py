@@ -5,6 +5,7 @@ The morphism census on the line was hand-checked bridge by bridge before
 freezing; slice homology values were frozen from the first machine run.
 """
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -281,6 +282,31 @@ def test_relative_q_on_the_line():
          (v1.label(cat.dst(m)[0]), v1.label(cat.dst(m)[1])))
         for m in cat.morphisms())
     assert dict(census) == LINE_CENSUS
+
+
+def _category_digests(cat) -> tuple:
+    """sha256 of the sorted morphisms, identities and composition table."""
+    return tuple(hashlib.sha256(repr(sorted(d.items(), key=repr)).encode())
+                 .hexdigest() for d in (cat.morph, cat.identity,
+                                        cat.compose_table))
+
+
+# Recorded before the ambigressive pullback was read off the span table.
+# Its composites bridge through 617 pullbacks, where the line composes
+# through 17; a bridge's legs may move by an automorphism of its apex,
+# which the class keys absorb.
+EMBEDDED_LINE_DIGESTS = (
+    "aed2d1620c2a19462f26d490f17d0f78c2789e67c0151477b2c9594f1920c9a3",
+    "3636fe3cf5b2d53b5a8f66b81aed1805214349ffed7b7f4fd276f52aab2a09d9",
+    "e4f5d0edfa276f8e59eee0d5d6dc2e7914d005252d44fd8f286ad43add2e0de5")
+
+
+def test_relative_q_of_the_line_in_abp_2_4_matches_its_recorded_digests():
+    psi = VectToAbP(VectInstance(2, 1), AbPInstance(2, 4))
+    cat = relative_q_objects(psi)
+    assert (len(cat.objects), len(cat.morph), len(cat.compose_table)) == \
+        (13, 87, 617)
+    assert _category_digests(cat) == EMBEDDED_LINE_DIGESTS
 
 
 def test_relative_q_terminal_at_unit_bound():

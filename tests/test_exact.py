@@ -55,6 +55,23 @@ def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
     return _require_ambigressive(inst, sq, "pushout", w, i.src)
 
 
+def reference_ambigressive_pullback(inst: Instance, i: Mor, e: Mor) -> Square:
+    """The pullback that reading it off the span table replaced: the
+    kernel of the difference map U + V -> Y, found by listing all of
+    U + V and Hermite-reducing the members with i(u) = e(v)."""
+    _require_legs(inst, i, e, i.dst == e.dst, "target")
+    mu = inst.moduli_of(i.src)
+    mv = inst.moduli_of(e.src)
+    moduli = mu + mv
+    nu = len(mu)
+    members = [uv for uv in zmod.elements(moduli)
+               if inst.apply(i, uv[:nu]) == inst.apply(e, uv[nu:])]
+    w, rows = inst._subobject(moduli, members)
+    sq = Square(top=Mor(w, i.src, rows[:nu]), left=Mor(w, e.src, rows[nu:]),
+                right=i, bottom=e)
+    return _require_ambigressive(inst, sq, "pullback", w, i.dst)
+
+
 @pytest.fixture(scope="module")
 def v1():
     return VectInstance(2, 1)
@@ -424,6 +441,56 @@ def test_pullback_along_iso_recovers_source(ab4):
     i = Mor((1,), (2,), ((2,),))
     sq = ambigressive_pullback(ab4, i, ab4.identity((2,)))
     assert sq.nw == (1,)
+
+
+def _pullback_graph(inst: Instance, sq: Square) -> set:
+    """The pullback W as the pairs (top(w), left(w)) inside ne + sw."""
+    return {(inst.apply(sq.top, w), inst.apply(sq.left, w))
+            for w in inst.elements(sq.nw)}
+
+
+@pytest.mark.parametrize("descriptor,cospans", [
+    ("abp:2:4", 82), ("vect:2:2", 71), ("abp:3:9", 2830)])
+def test_ambigressive_pullback_matches_the_member_listing_it_replaced(
+        descriptor, cospans):
+    # same apex, same graph W inside U + V; the legs may differ by an
+    # automorphism of the apex
+    inst = parse_instance(descriptor)
+    objs = inst.objects()
+    checked = 0
+    for y in objs:
+        epis = [e for v in objs for e in inst.epis(v, y)]
+        for i in (i for u in objs for i in inst.monos(u, y)):
+            for e in epis:
+                got = ambigressive_pullback(inst, i, e)
+                want = reference_ambigressive_pullback(inst, i, e)
+                assert got.nw == want.nw
+                assert _pullback_graph(inst, got) == \
+                    _pullback_graph(inst, want)
+                checked += 1
+    assert checked == cospans
+
+
+def test_a_pullback_graph_that_is_no_span_class_raises():
+    message = "ambigressive pullback: no span class {} <<- W >-> {} " \
+              "has the pullback graph"
+    # with every map taken for a mono, the reduction Z/4 -> Z/2 passes
+    # the leg check; its pullback along the identity of Z/2 is the graph
+    # of no partial map Z/2 -> Z/4
+    inst = AbPInstance(2, 4)
+    inst.is_mono = lambda f: True
+    reduce = Mor((2,), (1,), ((1,),))
+    with pytest.raises(ValueError, match=message.format("Z/4", "Z/2")):
+        ambigressive_pullback(inst, reduce, inst.identity((1,)))
+    # with every map taken for an epi once the classes Z/4 <<- W >-> Z/2
+    # are listed, Z/2 -> Z/4 (times 2) passes; its pullback along the
+    # identity of Z/4 is the graph of b -> 2b, which no class has
+    inst = AbPInstance(2, 4)
+    all_spans(inst, (2,), (1,))
+    inst.is_epi = lambda f: True
+    twice = Mor((1,), (2,), ((2,),))
+    with pytest.raises(ValueError, match=message.format("Z/4", "Z/2")):
+        ambigressive_pullback(inst, inst.identity((2,)), twice)
 
 
 def test_pushout_examples(ab4):

@@ -11,6 +11,7 @@ from itertools import product as iproduct
 import pytest
 
 from qcat import gammastr
+from qcat.errors import GuardError
 from qcat.fincat import check_axioms
 from qcat.gammastr import (
     BASEPOINT,
@@ -414,6 +415,39 @@ def test_retraction_naturality_matches_the_lambda_morphism_report(max_arity):
     oracle = reference_retraction_naturality_report(max_arity)
     assert (report.checked, report.failures) == \
         (oracle.checked, oracle.failures)
+
+
+REPORTS = {"u-functoriality": u_functoriality_report,
+           "retraction-naturality": retraction_naturality_report}
+
+
+@pytest.mark.parametrize("check,max_arity", [
+    *(("u-functoriality", n) for n in range(6)),
+    *(("retraction-naturality", n) for n in range(4))])
+def test_gamma_checks_count_their_comparisons_in_closed_form(monkeypatch,
+                                                             check,
+                                                             max_arity):
+    counts = []
+    real = gammastr._require_comparisons
+
+    def spy(check_, max_arity_, count):
+        counts.append(count(max_arity_))
+        return real(check_, max_arity_, count)
+
+    monkeypatch.setattr(gammastr, "_require_comparisons", spy)
+    assert [REPORTS[check](max_arity).checked] == counts
+
+
+@pytest.mark.parametrize("check,count", [
+    ("u-functoriality", 393), ("retraction-naturality", 12432)])
+def test_gamma_guard_reads_the_comparison_limit(monkeypatch, check, count):
+    monkeypatch.setattr(gammastr, "COMPARISON_LIMIT", count)
+    assert REPORTS[check](2).checked == count
+    monkeypatch.setattr(gammastr, "COMPARISON_LIMIT", count - 1)
+    with pytest.raises(GuardError, match=f"^{check}: arity 2 would make "
+                                         f"{count} comparisons, over the "
+                                         f"limit of {count - 1}$"):
+        REPORTS[check](2)
 
 
 def test_retraction_naturality_follows_a_lossy_cut_action(monkeypatch):

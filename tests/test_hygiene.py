@@ -145,3 +145,18 @@ def test_only_record_and_simplicial_set_define_equality():
                     for item in node.body):
                 owners.add(f"{path.stem}.{node.name}")
     assert owners == {"record.Record", "simpset.SimplicialSet"}
+
+
+def test_only_exact_reads_tables():
+    """Element-index tables (`Instance.table`) and span tables
+    (`Span.table`, -1 off the subgroup) are the format of `exact`; the
+    other modules compose, look up and pull back spans through it."""
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        readers.extend(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr == "table"
+                       and isinstance(node.ctx, ast.Load))
+    assert any(r.startswith("exact.py:") for r in readers)
+    assert [r for r in readers if not r.startswith("exact.py:")] == []

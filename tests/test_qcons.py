@@ -18,6 +18,7 @@ from qcat.exact import (
     bicartesian_check,
     identity_span,
     parse_instance,
+    pullback_legs,
     span_compose,
     span_from_legs,
     span_legs,
@@ -460,12 +461,13 @@ def test_corner_fillers_match_the_orbit_search_oracle(monkeypatch, desc, n,
     caches = ({(v, y): inst.epis(v, y) for v in objs for y in objs},
               {(v, y): inst.monos(v, y) for v in objs for y in objs},
               {v: inst.isos(v, v) for v in objs})
-    real = qcons._corner_filler
+    real = qcons.pullback_legs
     filled = []
 
-    def checked(inst_, *corner):
-        got = real(inst_, *corner)
+    def checked(inst_, right, bottom):
+        got = real(inst_, right, bottom)
         got_list = [] if got is None else [got]
+        corner = (right.src, bottom.src, right.dst, right, bottom)
         want = corner_classes_by_orbit(inst_, *corner, *caches)
         classes = [span_from_legs(inst, e, m) for _, e, m in got_list]
         assert len(set(classes)) == len(got_list) == len(want)
@@ -474,7 +476,7 @@ def test_corner_fillers_match_the_orbit_search_oracle(monkeypatch, desc, n,
         filled.append(len(got_list))
         return got
 
-    monkeypatch.setattr(qcons, "_corner_filler", checked)
+    monkeypatch.setattr(qcons, "pullback_legs", checked)
     assert qcons.segal_spine_check(inst, n).passed
     assert len(filled) == corners
     # the filler of a corner is its pullback, found once
@@ -558,17 +560,18 @@ def test_spine_strings_match_the_walk_they_replaced(desc):
 def test_corner_fillers_match_the_member_test_they_replaced(monkeypatch, desc,
                                                             n, corners):
     inst = parse_instance(desc)
-    real = qcons._corner_filler
+    real = qcons.pullback_legs
     filled = []
 
-    def checked(inst_, *corner):
-        got = real(inst_, *corner)
+    def checked(inst_, right, bottom):
+        got = real(inst_, right, bottom)
         got_list = [] if got is None else [got]
-        assert got_list == reference_corner_classes(inst_, *corner)
+        assert got_list == reference_corner_classes(
+            inst_, right.src, bottom.src, right.dst, right, bottom)
         filled.append(len(got_list))
         return got
 
-    monkeypatch.setattr(qcons, "_corner_filler", checked)
+    monkeypatch.setattr(qcons, "pullback_legs", checked)
     assert qcons.segal_spine_check(inst, n).passed
     assert len(filled) == corners
     assert set(filled) == {1}
@@ -584,9 +587,8 @@ def test_a_corner_under_a_bottom_that_is_not_epi_has_no_filler(ab4):
     graph = {(a, b) for (a,) in ab4.elements(z2) for (b,) in ab4.elements(z2)
              if 2 * a % 4 == 2 * b % 4}
     assert span_from_members(ab4, z2, z2, graph) == identity_span(ab4, z2)
-    corner = (z2, z2, z4, twice, twice)
-    assert qcons._corner_filler(ab4, *corner) is None
-    assert reference_corner_classes(ab4, *corner) == []
+    assert pullback_legs(ab4, twice, twice) is None
+    assert reference_corner_classes(ab4, z2, z2, z4, twice, twice) == []
 
 
 def reference_enumerate_ambigressive(inst: Instance, n: int):
@@ -648,19 +650,17 @@ def test_a_corner_without_a_filler_fails_the_segal_check(monkeypatch, capsys,
     # through it are the 2 spans into Z/2 with identity mono leg, times the
     # 1 + 1 + 3 spans out of Z/2 with identity epi leg into Z/2, Z/4 and
     # Z/2+Z/2
-    c2 = (1,)
-    ident = ab4.identity(c2)
-    withheld = (c2, c2, c2, ident, ident)
-    real = qcons._corner_filler
+    ident = ab4.identity((1,))
+    real = qcons.pullback_legs
     dropped = []
 
-    def without(inst_, *corner):
-        if corner == withheld:
-            dropped.append(corner)
+    def without(inst_, right, bottom):
+        if (right, bottom) == (ident, ident):
+            dropped.append(right)
             return None
-        return real(inst_, *corner)
+        return real(inst_, right, bottom)
 
-    monkeypatch.setattr(qcons, "_corner_filler", without)
+    monkeypatch.setattr(qcons, "pullback_legs", without)
     rep = qcons.segal_spine_check(ab4, 2)
     assert len(dropped) == 10
     assert (rep.diagram_classes, rep.composable_strings) == (154 - 10, 154)
