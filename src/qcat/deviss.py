@@ -10,11 +10,15 @@ filtration argument; whether the bounded slices are actually
 contractible is recorded, never presumed.
 """
 
-from .errors import GuardError
+from collections import Counter
+
+from .errors import SIZE_LIMIT, GuardError
 from .exact import (
     Instance,
     Mor,
-    ambigressive_pullback,
+    all_spans,
+    identity_span,
+    span_compose,
     span_from_legs,
     span_legs,
 )
@@ -161,8 +165,8 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
 
 def _require_comma_depth(depth: int):
     if depth > COMMA_DEPTH_BOUND:
-        raise GuardError(
-            f"comma nerve depth is bounded at {COMMA_DEPTH_BOUND}")
+        raise GuardError(f"comma nerve depth {depth} requested; it is "
+                         f"bounded at {COMMA_DEPTH_BOUND}")
 
 
 def comma_over(fun: FunctorData, x, depth: int) -> SimplicialSet:
@@ -253,28 +257,23 @@ def devissage_certificate(psi: ExactEmbedding, probe_objects,
 # -- the relative span construction -------------------------------------------
 
 
-def _auto_inverse(inst: Instance, sigma: Mor) -> Mor:
-    ident = inst.identity(sigma.src)
-    return next(tau for tau in inst.isos(sigma.src, sigma.src)
-                if inst.compose(sigma, tau) == ident)
+# A composable triple is one composite read per associativity check; the
+# reads are not stored, so they get the tenfold bound of `gammastr`.
+TRIPLE_LIMIT = 10 * SIZE_LIMIT
 
 
-def _datum_class_key(psi: ExactEmbedding, w, w_u: Mor, w_v: Mor,
-                     alpha: Mor, beta: Mor):
-    """Canonical key of a morphism datum modulo automorphisms of the
-    bridge object w."""
-    s, t = psi.source, psi.target
-    best = None
-    for sigma in s.isos(w, w):
-        inv = _auto_inverse(s, sigma)
-        variant = (w,
-                   s.compose(w_u, sigma).rows,
-                   s.compose(w_v, sigma).rows,
-                   alpha.rows,
-                   t.compose(psi.on_mor(inv), beta).rows)
-        if best is None or variant < best:
-            best = variant
-    return best
+def _require_triples(morph):
+    """Raise unless the composable triples that `require_category` scans,
+    Σ_g in(src g)·out(dst g), are within TRIPLE_LIMIT."""
+    into = Counter(dst for _, dst in morph.values())
+    out_of = Counter(src for src, _ in morph.values())
+    pairs = sum(into[src] for src, _ in morph.values())
+    triples = sum(into[src] * out_of[dst] for src, dst in morph.values())
+    if triples > TRIPLE_LIMIT:
+        raise GuardError(f"relative span category: {len(morph)} morphisms "
+                         f"make {pairs} composable pairs and {triples} "
+                         f"composable triples, over the limit of "
+                         f"{TRIPLE_LIMIT}")
 
 
 def relative_q_objects(psi: ExactEmbedding,
@@ -286,9 +285,11 @@ def relative_q_objects(psi: ExactEmbedding,
     together with maps alpha: Y -> X and beta: Y -> psi W such that
     the (alpha, beta, psi W -> psi U, g) square is a pullback and h
     factors as psi(W ->> V) after beta.  Classes are taken modulo
-    automorphisms of W, and composition bridges through the
-    ambigressive pullback of the two middle legs; admissibility of the
-    legs is what keeps that pullback inside the instance bounds, so
+    automorphisms of W and named by the least such datum.  As psi W ->
+    psi U is mono, beta is fixed by the legs and alpha, so a class is
+    its span class V <<- W >-> U and alpha, and a composite is the class
+    of the composite span and alpha_2 alpha_1: the ambigressive pullback
+    of the two middle legs, which stays inside the instance bounds, so
     composition is total.
     """
     s, t = psi.source, psi.target
@@ -304,88 +305,78 @@ def relative_q_objects(psi: ExactEmbedding,
             for g in t.hom(x, psi.on_object(u)):
                 objects.append((u, x, g))
     if len(objects) > 64:
-        raise GuardError("relative construction bounded at 64 objects")
+        raise GuardError(f"relative construction: {len(objects)} objects, "
+                         "bounded at 64 objects")
 
-    def raw_morphisms(src_obj, dst_obj):
-        (v, y, h), (u, x, g) = src_obj, dst_obj
+    inverses = {}      # w -> [(sigma, sigma^-1) for sigma in Aut(w)]
+    lifts = {}         # (y, psi w_u) -> {psi w_u after b: [b: y -> psi w]}
+
+    def class_key(w, w_u, w_v, alpha, beta):
+        if w not in inverses:
+            autos = s.isos(w, w)
+            inverses[w] = [(sigma, tau) for sigma in autos for tau in autos
+                           if s.compose(sigma, tau) == s.identity(w)]
+        return min((w, s.compose(w_u, sigma).rows, s.compose(w_v, sigma).rows,
+                    alpha.rows, t.compose(psi.on_mor(inv), beta).rows)
+                   for sigma, inv in inverses[w])
+
+    morph = {}
+    datum_of = {}      # name -> (span class, alpha)
+    name_of = {}       # (a, b, span class, alpha) -> name
+    for a in objects:
+        v, y, h = a
         y_order = t.order(y)
         y_els = t.elements(y)
-        x_els = t.elements(x)
-        out = []
-        for w in sources:
-            psi_w = psi.on_object(w)
-            epis_wv = s.epis(w, v)
-            if not epis_wv:
-                continue
-            for w_u in s.monos(w, u):
+        for b in objects:
+            u, x, g = b
+            alphas = [(alpha, t.compose(g, alpha)) for alpha in t.hom(y, x)]
+            for span in all_spans(s, v, u):
+                w, w_v, w_u = span_legs(s, span)
                 pw_u = psi.on_mor(w_u)
                 # honest fibre count of the cospan (g, psi w_u); the
                 # comparison below is a bijection onto the pullback
                 # exactly when it is injective and y has this size
-                fibre = {}
-                for e in t.elements(psi_w):
-                    im = t.apply(pw_u, e)
-                    fibre[im] = fibre.get(im, 0) + 1
-                if sum(fibre.get(t.apply(g, xe), 0) for xe in x_els) \
+                fibre = Counter(t.apply(pw_u, e) for e in t.elements(pw_u.src))
+                if sum(fibre[t.apply(g, xe)] for xe in t.elements(x)) \
                         != y_order:
                     continue
-                for w_v in epis_wv:
-                    pw_v = psi.on_mor(w_v)
-                    for alpha in t.hom(y, x):
-                        g_alpha = t.compose(g, alpha)
-                        for beta in t.hom(y, psi_w):
-                            if t.compose(pw_u, beta) != g_alpha:
-                                continue
-                            if t.compose(pw_v, beta) != h:
-                                continue
-                            joint = {(t.apply(alpha, e), t.apply(beta, e))
-                                     for e in y_els}
-                            if len(joint) != y_order:
-                                continue
-                            out.append((w, w_u, w_v, alpha, beta))
-        return out
+                lift = lifts.get((y, pw_u))
+                if lift is None:
+                    lift = lifts[y, pw_u] = {}
+                    for beta in t.hom(y, pw_u.src):
+                        lift.setdefault(t.compose(pw_u, beta), []).append(beta)
+                pw_v = psi.on_mor(w_v)
+                for alpha, g_alpha in alphas:
+                    for beta in lift.get(g_alpha, ()):
+                        if t.compose(pw_v, beta) != h:
+                            continue
+                        joint = {(t.apply(alpha, e), t.apply(beta, e))
+                                 for e in y_els}
+                        if len(joint) != y_order:
+                            continue
+                        name = (a, b, class_key(w, w_u, w_v, alpha, beta))
+                        morph[name] = (a, b)
+                        datum_of[name] = (span, alpha)
+                        name_of[a, b, span, alpha] = name
 
-    morph = {}
-    datum_of = {}
-    for a in objects:
-        for b in objects:
-            seen = set()
-            for w, w_u, w_v, alpha, beta in raw_morphisms(a, b):
-                key = _datum_class_key(psi, w, w_u, w_v, alpha, beta)
-                if key in seen:
-                    continue
-                seen.add(key)
-                name = (a, b, key)
-                morph[name] = (a, b)
-                datum_of[name] = (w, w_u, w_v, alpha, beta)
+    def class_of(a, b, span, alpha):
+        name = name_of.get((a, b, span, alpha))
+        if name is None:
+            raise ValueError(f"{psi.describe()} is not exact: no morphism "
+                             f"{a!r} -> {b!r} has span {span!r} and alpha "
+                             f"{alpha!r}")
+        return name
 
-    identity = {}
-    for (u, x, g) in objects:
-        ident = (s.identity(u), s.identity(u), t.identity(x), g)
-        key = _datum_class_key(psi, u, *ident)
-        identity[(u, x, g)] = ((u, x, g), (u, x, g), key)
-
-    def compose_data(m2, m1):
-        w2, w2_u, w2_v, alpha2, beta2 = datum_of[m2]
-        w1, w1_u, w1_v, alpha1, beta1 = datum_of[m1]
-        # w1_u lands mono in the middle slot, w2_v epi onto it
-        bridge_sq = ambigressive_pullback(s, w1_u, w2_v)
-        w = bridge_sq.nw
-        w_u = s.compose(w2_u, bridge_sq.left)
-        w_v = s.compose(w1_v, bridge_sq.top)
-        alpha = t.compose(alpha2, alpha1)
-        z = m1[0][1]
-        want_2 = t.compose(beta2, alpha1)
-        p_top = psi.on_mor(bridge_sq.top)
-        p_left = psi.on_mor(bridge_sq.left)
-        beta = next(b for b in t.hom(z, psi.on_object(w))
-                    if t.compose(p_top, b) == beta1
-                    and t.compose(p_left, b) == want_2)
-        return w, w_u, w_v, alpha, beta
+    identity = {a: class_of(a, a, identity_span(s, a[0]), t.identity(a[1]))
+                for a in objects}
+    _require_triples(morph)
 
     def compose(m2, m1):
-        key = _datum_class_key(psi, *compose_data(m2, m1))
-        return (morph[m1][0], morph[m2][1], key)
+        span2, alpha2 = datum_of[m2]
+        span1, alpha1 = datum_of[m1]
+        return class_of(morph[m1][0], morph[m2][1],
+                        span_compose(s, span2, span1),
+                        t.compose(alpha2, alpha1))
 
     cat = FiniteCategory(objects, morph, identity, composites(morph, compose))
     require_category(cat)

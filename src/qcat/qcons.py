@@ -149,7 +149,8 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     if n < 0:
         raise ValueError("diagram size must be nonnegative")
     if n > 3:
-        raise GuardError("ambigressive enumeration is bounded at n = 3")
+        raise GuardError(f"ambigressive enumeration of size n = {n} "
+                         "requested; it is bounded at n = 3")
     if n == 0:
         return [AmbigressiveDiagram(0, {(0, 0): x}, {}, {})
                 for x in inst.objects()]

@@ -6,7 +6,11 @@ freezing; slice homology values were frozen from the first machine run.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,9 @@ from qcat.errors import GuardError
 from qcat.exact import (AbPInstance, Instance, Mor, Square, VectInstance,
                         bicartesian_check, exact_sequence_squares)
 from qcat.simpset import contractibility
-from span_oracles import direct_sum
+from span_oracles import direct_sum, reference_relative_q_objects
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # -- embedding and its check only the tests use --------------------------
@@ -317,8 +323,62 @@ def test_relative_q_terminal_at_unit_bound():
 
 
 def test_relative_q_object_guard():
-    with pytest.raises(GuardError, match="64"):
+    with pytest.raises(GuardError, match="689 objects, bounded at 64"):
         relative_q_objects(IdentityEmbedding(VectInstance(2, 3)))
+
+
+@pytest.mark.parametrize("psi,max_order", [
+    (IdentityEmbedding(VectInstance(2, 1)), None),
+    (IdentityEmbedding(VectInstance(3, 1)), None),
+    (VectToAbP(VectInstance(2, 1), AbPInstance(2, 2)), None),
+    (VectToAbP(VectInstance(2, 1), AbPInstance(2, 4)), None),
+    (IdentityEmbedding(VectInstance(2, 1)), 1),
+], ids=["id-vect:2:1", "id-vect:3:1", "vect:2:1-abp:2:2", "vect:2:1-abp:2:4",
+        "id-vect:2:1-max-order-1"])
+def test_relative_q_matches_the_search_oracle(psi, max_order):
+    """Each class is listed as (span class, alpha) and each composite is
+    one lookup; the search over every datum, with an ambigressive
+    pullback and a search for beta per composite, gives the same dicts."""
+    cat = relative_q_objects(psi, max_order)
+    assert (cat.morph, cat.identity, cat.compose_table) == \
+        reference_relative_q_objects(psi, max_order)
+
+
+def test_relative_q_rejects_an_embedding_that_is_not_exact():
+    class Zeroed(VectToAbP):
+        def on_mor(self, f):
+            g = super().on_mor(f)
+            return Mor(g.src, g.dst, tuple((0,) * len(r) for r in g.rows))
+
+    with pytest.raises(ValueError, match="is not exact"):
+        relative_q_objects(Zeroed(VectInstance(2, 1), AbPInstance(2, 2)))
+
+
+def test_relative_q_triple_guard_trips_before_any_composite():
+    """VectToAbP(vect:2:1, abp:2:8) lists its classes in about 1.5 s, and
+    the axiom check would then scan 171,944,871 composable triples."""
+    code = (
+        "import qcat.deviss as d\n"
+        "from qcat.errors import GuardError\n"
+        "from qcat.exact import AbPInstance, VectInstance\n"
+        "def unreachable(*args):\n"
+        "    raise SystemExit('a composite was built before the guard')\n"
+        "d.composites = unreachable\n"
+        "try:\n"
+        "    d.relative_q_objects(d.VectToAbP(VectInstance(2, 1),"
+        " AbPInstance(2, 8)))\n"
+        "except GuardError as exc:\n"
+        "    print(exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "relative span category: 3269 morphisms make 771213 composable "
+        "pairs and 171944871 composable triples, over the limit of "
+        "10000000\n")
 
 
 def test_relative_q_through_nonidentity_embedding():
