@@ -1,10 +1,11 @@
 """Monotone maps between finite ordinals [n] = {0 < 1 < ... < n}.
 
 These are the arrows of the simplex category.  Every monotone map factors
-uniquely as a monotone surjection followed by a monotone injection, and
-each of those factors into elementary collapses and skips.  That
-factorization is what lets a combinatorially presented simplicial set act
-on formal (degeneracy word, cell) values with nothing but face records.
+uniquely as a monotone surjection, named by its doubles, followed by a
+monotone injection, named by the vertices it misses.  That factorization
+is what lets a combinatorially presented simplicial set act on formal
+(degeneracy word, cell) values with nothing but face records: a normal
+degeneracy word is the decreasing list of a surjection's doubles.
 """
 
 from __future__ import annotations
@@ -67,27 +68,12 @@ class DeltaMap(Record):
         a, b = self.source_arity, self.target_arity
         return DeltaMap(a, b, tuple(b - self.values[a - i] for i in range(a + 1)))
 
-    def is_surjective(self) -> bool:
-        return set(self.values) == set(range(self.target_arity + 1))
-
     def misses(self) -> tuple[int, ...]:
         hit = set(self.values)
         return tuple(v for v in range(self.target_arity + 1) if v not in hit)
 
     def doubles(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.source_arity) if self.values[i] == self.values[i + 1])
-
-    def elementary_ops(self) -> tuple[tuple[str, int], ...]:
-        """Contravariant action of this map as elementary face/degeneracy steps.
-
-        A simplicial object X sends self: [a] -> [b] to X(self): X_b -> X_a.
-        Returned ops are in application order: first faces d_i for every value
-        missed by the image (largest first), then degeneracies s_j for every
-        doubled position (smallest first).
-        """
-        ops = [("d", v) for v in reversed(self.misses())]
-        ops += [("s", j) for j in self.doubles()]
-        return tuple(ops)
 
 
 def all_maps(a: int, b: int):

@@ -2,11 +2,12 @@
 
 A simplicial set is stored as its nondegenerate simplices plus, for each
 one, the ordered list of faces.  Every simplex, degenerate or not, is a
-*value*: a pair (word, id) where `word` is a degeneracy word in normal
-form (strictly decreasing indices, leftmost letter applied last) and `id`
-names a nondegenerate simplex.  The simplicial identities then determine
-the action of every monotone map on every value, so finite presentations
-support exact computation of chains, homology and the edge-path group.
+*value*: a pair (word, id) naming σ^* x for a nondegenerate simplex x
+and a surjection σ in Δ.  The normal `word` is σ's doubles j, σ(j) =
+σ(j + 1), in decreasing order: s_(j_1) ... s_(j_k) x, leftmost applied
+last.  Faces and the action of every monotone map are closed forms in
+these doubles, so finite presentations support exact computation of
+chains, homology and the edge-path group.
 
 `truncation` records how much of the set the presentation knows: None
 means the listed simplices are all of them; an integer T means dimensions
@@ -26,33 +27,21 @@ Word = tuple[int, ...]
 Value = tuple[Word, object]
 
 
-def insert_degeneracy(i: int, word: Word) -> Word:
-    """Normal form of s_i applied on top of an already normal word."""
-    if not word or i > word[0]:
-        return (i,) + word
-    # s_i s_j = s_(j+1) s_i for i <= j: bubble the new letter rightward
-    return (word[0] + 1,) + insert_degeneracy(i, word[1:])
-
-
 def compose_words(outer: Word, inner: Word) -> Word:
-    out = inner
-    for letter in reversed(outer):
-        out = insert_degeneracy(letter, out)
-    return out
+    """The normal word of s_outer s_inner, for normal words outer and
+    inner: outer's doubles, and for each letter j of inner the j-th
+    position that outer does not double (the last preimage of j)."""
+    if not inner:
+        return outer
+    doubled = set(outer)
+    last = [j for j in range(len(outer) + inner[0] + 1) if j not in doubled]
+    return tuple(sorted(doubled.union([last[j] for j in inner]), reverse=True))
 
 
 def op_word(word: Word, n: int) -> Word:
-    """Rewrite the degeneracy word of an n-dimensional value for the
-    opposite simplicial set: s_j at dimension d becomes s_(d - j).
-
-    Letter t (0-based from the left) acts at dimension n - 1 - t, so it
-    reverses to n - 1 - t - word[t]; the letters are re-normalized from
-    the innermost outward.
-    """
-    out: Word = ()
-    for t in range(len(word) - 1, -1, -1):
-        out = insert_degeneracy(n - 1 - t - word[t], out)
-    return out
+    """The word of an n-dimensional value in the opposite simplicial set:
+    reversing [n] sends the double j to n - 1 - j."""
+    return tuple(n - 1 - j for j in reversed(word))
 
 
 class SimplicialSet:
@@ -141,63 +130,52 @@ class SimplicialSet:
         return self.faces[x][i]
 
     def face(self, value, i) -> Value:
-        """d_i on an arbitrary value, pushing the face through the word."""
+        """d_i on s_w x: the k doubles of w above i shift down by one, and
+        d_i drops the next double if it is i or i - 1.  Otherwise i is the
+        one vertex over x's vertex c = i - #{j in w : j < i}, and d_i
+        takes x's face c under the shifted doubles."""
         word, x = value
-        letters = []
-        cur = i
-        for pos, j in enumerate(word):
-            if cur < j:
-                letters.append(j - 1)
-            elif cur in (j, j + 1):
-                rest = word[pos + 1:]
-                return (compose_words(tuple(letters), rest), x)
-            else:
-                letters.append(j)
-                cur -= 1
-        if self.dims[x] == 0:
-            raise ValueError("no faces of a vertex")
-        bw, bx = self.faces[x][cur]
-        return (compose_words(tuple(letters), bw), bx)
+        if not word:
+            if self.dims[x] == 0:
+                raise ValueError("no faces of a vertex")
+            return self.faces[x][i]
+        k = 0
+        while k < len(word) and word[k] > i:
+            k += 1
+        head = tuple([j - 1 for j in word[:k]])
+        if k < len(word) and word[k] >= i - 1:
+            return (head + word[k + 1:], x)
+        bw, bx = self.faces[x][i - len(word) + k]
+        return (compose_words(head + word[k:], bw), bx)
 
     def degeneracy(self, value, j) -> Value:
         word, x = value
-        return (insert_degeneracy(j, word), x)
+        return (compose_words((j,), word), x)
 
     def action(self, f: DeltaMap):
         """The contravariant action of f:[a]->[b] as a function from
-        b-values to a-values.
+        b-values to a-values; it raises ValueError on any other value.
 
-        The elementary face and degeneracy steps of f are worked out once,
-        here, so the returned function can be applied to many values.  It
-        raises ValueError on a value that is not b-dimensional.
-
-        A surjection only adds degeneracies, so its word is built in one
-        go: i is a letter of f^*(s_w x) when f(i) = f(i + 1), or when i
-        is the last preimage of a letter of w.
+        f^* takes the faces at f's missed vertices, largest first.  Then i
+        is a letter of the word when f(i) = f(i + 1), or when i is the last
+        preimage of a letter, one of the positions f does not double: the
+        `last` table, built once per map for the many values it meets.
         """
         b = f.target_arity
-        if f.is_surjective():
-            doubles = set(f.doubles())
-            last = {v: i for i, v in enumerate(f.values)}
-
-            def degenerate(value) -> Value:
-                word, x = value
-                if len(word) + self.dims[x] != b:
-                    raise ValueError("value dimension does not match the map")
-                return (tuple(sorted(doubles.union([last[j] for j in word]),
-                                     reverse=True)), x)
-
-            return degenerate
-
-        steps = [(self.face if kind == "d" else self.degeneracy, idx)
-                 for kind, idx in f.elementary_ops()]
+        missed = f.misses()[::-1]
+        doubles = set(f.doubles())
+        last = [i for i in range(f.source_arity) if i not in doubles]
 
         def apply(value) -> Value:
-            if self.dim_of(value) != b:
+            word, x = value
+            if len(word) + self.dims[x] != b:
                 raise ValueError("value dimension does not match the map")
-            for step, idx in steps:
-                value = step(value, idx)
-            return value
+            for v in missed:
+                word, x = self.face((word, x), v)
+            if doubles:
+                word = tuple(sorted(doubles.union([last[j] for j in word]),
+                                    reverse=True))
+            return (word, x)
 
         return apply
 

@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -17,14 +18,17 @@ from qcat.simpset import (
     LevelModel,
     SimplicialMap,
     SimplicialSet,
+    compose_words,
     contractibility,
-    insert_degeneracy,
     left_fibration_check,
+    op_word,
     product,
     product_model,
     simplicial_set_from_triangulation,
     standard_simplex,
 )
+from word_oracles import (per_letter_action, reference_compose_words,
+                          reference_face, reference_op_word)
 
 
 # -- spaces and maps only the tests use -----------------------------------
@@ -140,9 +144,9 @@ def torus():
 
 
 def test_word_insertion_normal_form():
-    assert insert_degeneracy(1, (2, 0)) == (3, 1, 0)
-    assert insert_degeneracy(4, (2, 0)) == (4, 2, 0)
-    assert insert_degeneracy(0, ()) == (0,)
+    assert compose_words((1,), (2, 0)) == (3, 1, 0)
+    assert compose_words((4,), (2, 0)) == (4, 2, 0)
+    assert compose_words((0,), ()) == (0,)
 
 
 def test_standard_simplex_counts_and_homology():
@@ -313,9 +317,9 @@ def test_truncation_limits_homology():
 
 
 def test_validation_catches_broken_face_records():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="value names unknown simplex 'missing'"):
         SimplicialSet({"e": 1}, {"e": (((), "missing"), ((), "missing"))})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'e' needs 2 faces"):
         # wrong arity
         SimplicialSet({"v": 0, "e": 1}, {"e": (((), "v"),)})
     # simplicial identity violation: a triangle whose edges do not share
@@ -327,8 +331,16 @@ def test_validation_catches_broken_face_records():
         "ac": (((), "c"), ((), "a")),
         "t": (((), "bc"), ((), "ac"), ((), "bc")),
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"simplicial identity fails at 't': "
+                       r"d_0 d_2 != d_1 d_0"):
         SimplicialSet(dims, faces)
+    # the same violation through degenerate faces: a triangle of collapsed
+    # edges (s_0 v, s_0 v, s_0 w), whose vertex 1 is v on the edge d_0 but
+    # w on the edge d_2
+    with pytest.raises(ValueError, match=r"simplicial identity fails at 't': "
+                       r"d_0 d_2 != d_1 d_0"):
+        SimplicialSet({"v": 0, "w": 0, "t": 2},
+                      {"t": (((0,), "v"), ((0,), "v"), ((0,), "w"))})
 
 
 def test_fold_map_lifts_uniquely_but_collapse_does_not():
@@ -413,23 +425,13 @@ def test_action_rejects_a_value_of_the_wrong_dimension(rp2):
         apply(edge)
 
 
-def per_letter_action(space, f: DeltaMap, value):
-    """f's action by its elementary steps, one degeneracy letter at a
-    time: the path that `action` keeps for maps that are not onto."""
-    for kind, idx in f.elementary_ops():
-        value = space.face(value, idx) if kind == "d" else \
-            space.degeneracy(value, idx)
-    return value
-
-
 def test_surjection_action_matches_the_per_letter_oracle():
+    # every monotone map [a] -> [b] with a, b <= 5, onto or not
     space = standard_simplex(3)
     pairs = 0
     for a in range(6):
-        for b in range(a + 1):
+        for b in range(6):
             for f in all_maps(a, b):
-                if not f.is_surjective():
-                    continue
                 apply = space.action(f)
                 for v in space.values(b):
                     assert apply(v) == per_letter_action(space, f, v), (f, v)
@@ -438,7 +440,101 @@ def test_surjection_action_matches_the_per_letter_oracle():
                     with pytest.raises(ValueError,
                                        match="value dimension does not"):
                         apply(space.values(b - 1)[0])
-    assert pairs == 1519
+    assert pairs == 112617
+
+
+# -- the closed-form word algebra against the letter-by-letter one ---------
+
+
+def normal_words(n):
+    """Every normal word of an n-dimensional value: the subsets of
+    [0, n - 1], in decreasing order."""
+    return [w for k in range(n + 1)
+            for w in combinations(range(n - 1, -1, -1), k)]
+
+
+def outer_words(n, k):
+    """The normal words of length k over an n-dimensional value."""
+    return combinations(range(n + k - 1, -1, -1), k)
+
+
+def test_compose_and_op_word_match_the_letter_oracles():
+    cases = 0
+    for p in range(8):
+        for inner in normal_words(p):
+            for k in range(4):
+                for outer in outer_words(p, k):
+                    assert compose_words(outer, inner) == \
+                        reference_compose_words(outer, inner), (outer, inner)
+                    cases += 1
+            assert op_word(inner, p) == reference_op_word(inner, p), inner
+            cases += 1
+    assert cases == 33023
+
+
+def test_face_matches_the_letter_oracle(rp2):
+    spaces = [standard_simplex(3),
+              product(standard_simplex(1), standard_simplex(2)),
+              standard_simplex(2).opposite()]
+    faces = 0
+    for space in spaces + [rp2]:
+        for n in range(1, 7):
+            for v in space.values(n):
+                for i in range(n + 1):
+                    assert space.face(v, i) == reference_face(space, v, i), (v, i)
+                    faces += 1
+    assert faces == 6749 + 3942
+
+
+def test_compose_words_is_associative_with_unit():
+    triples = 0
+    for p in range(4):
+        for c in normal_words(p):
+            assert compose_words((), c) == c == compose_words(c, ())
+            for j in range(3):
+                for b in outer_words(p, j):
+                    bc = compose_words(b, c)
+                    for i in range(3):
+                        for a in outer_words(p + j, i):
+                            assert compose_words(a, bc) == \
+                                compose_words(compose_words(a, b), c), (a, b, c)
+                            triples += 1
+    assert triples == 3917
+
+
+def test_op_word_is_an_involution_that_reverses_composition():
+    for n in range(8):
+        for w in normal_words(n):
+            assert op_word(op_word(w, n), n) == w
+    cases = 0
+    for p in range(5):
+        for b in normal_words(p):
+            for k in range(3):
+                for a in outer_words(p, k):
+                    n = p + k
+                    assert op_word(compose_words(a, b), n) == compose_words(
+                        op_word(a, n), op_word(b, n - len(a))), (a, b)
+                    cases += 1
+    assert cases == 511
+
+
+def test_faces_of_degeneracies_obey_the_simplicial_identities():
+    space = product(standard_simplex(1), standard_simplex(2))
+    cases = 0
+    for n in range(5):
+        for v in space.values(n):
+            for j in range(n + 1):
+                s = space.degeneracy(v, j)
+                for i in range(n + 2):
+                    if i < j:
+                        want = space.degeneracy(space.face(v, i), j - 1)
+                    elif i <= j + 1:
+                        want = v
+                    else:
+                        want = space.degeneracy(space.face(v, i - 1), j)
+                    assert space.face(s, i) == want, (v, j, i)
+                    cases += 1
+    assert cases == 5880
 
 
 # -- the level-model compiler against the per-token one it replaced --------
@@ -498,7 +594,7 @@ def reference_resolve(mark, ids, n, t):
         j, parent = mark[(n, t)]
         word += (j,)
         n, t = n - 1, parent
-    return (simpset.compose_words(word, ()), ids[(n, t)])
+    return (reference_compose_words(word, ()), ids[(n, t)])
 
 
 class ReferenceCompiled:
@@ -599,7 +695,7 @@ def test_compile_applies_each_degeneracy_once_per_degenerate_token():
 
     def counting_act(f):
         apply = act(f)
-        if not f.is_surjective():
+        if f.misses():
             return apply
 
         def spy(t):
@@ -649,7 +745,7 @@ def test_compile_rejects_two_degeneracies_onto_one_token():
     levels = {0: ["v"], 1: ["e", "f"], 2: ["x"]}
 
     def act(f):
-        if f.is_surjective():
+        if not f.misses():
             image = {1: "e", 2: "x"}[f.source_arity]
         else:
             image = "v" if f.source_arity == 0 else "e"
