@@ -12,7 +12,7 @@ contractible is recorded, never presumed.
 
 from collections import Counter
 
-from .errors import SIZE_LIMIT, GuardError
+from . import errors
 from .exact import (
     Instance,
     Mor,
@@ -23,7 +23,7 @@ from .exact import (
     span_legs,
 )
 from .fincat import (FiniteCategory, FunctorData, comma, composites, nerve,
-                     require_category)
+                     require_category, string_count)
 from .qcons import q_category
 from .simpset import Contractibility, SimplicialSet, contractibility
 
@@ -163,17 +163,11 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
 # -- slice categories of the induced span functor -----------------------------
 
 
-def _require_comma_depth(depth: int):
-    if depth > COMMA_DEPTH_BOUND:
-        raise GuardError(f"comma nerve depth {depth} requested; it is "
-                         f"bounded at {COMMA_DEPTH_BOUND}")
-
-
 def comma_over(fun: FunctorData, x, depth: int) -> SimplicialSet:
     """Nerve of the slice over x of `fun`, the span functor that
     `q_functor` induces, truncated at `depth`.  Build `fun` once and
     pass it for every x: it holds both span categories."""
-    _require_comma_depth(depth)
+    errors.require("comma nerve", depth, "levels", COMMA_DEPTH_BOUND)
     return nerve(comma(fun, x), depth)
 
 
@@ -225,7 +219,7 @@ def devissage_certificate(psi: ExactEmbedding, probe_objects,
     """Per-probe contractibility certificates for the slices, plus the
     filtration-stability check: across every stage of every probe's
     filtration, the slice homology reports must agree."""
-    _require_comma_depth(depth)
+    errors.require("comma nerve", depth, "levels", COMMA_DEPTH_BOUND)
     fun = q_functor(psi)
     t = psi.target
     reports = {}
@@ -257,27 +251,7 @@ def devissage_certificate(psi: ExactEmbedding, probe_objects,
 # -- the relative span construction -------------------------------------------
 
 
-# A composable triple is one composite read per associativity check; the
-# reads are not stored, so they get the tenfold bound of `gammastr`.
-TRIPLE_LIMIT = 10 * SIZE_LIMIT
-
-
-def _require_triples(morph):
-    """Raise unless the composable triples that `require_category` scans,
-    Σ_g in(src g)·out(dst g), are within TRIPLE_LIMIT."""
-    into = Counter(dst for _, dst in morph.values())
-    out_of = Counter(src for src, _ in morph.values())
-    pairs = sum(into[src] for src, _ in morph.values())
-    triples = sum(into[src] * out_of[dst] for src, dst in morph.values())
-    if triples > TRIPLE_LIMIT:
-        raise GuardError(f"relative span category: {len(morph)} morphisms "
-                         f"make {pairs} composable pairs and {triples} "
-                         f"composable triples, over the limit of "
-                         f"{TRIPLE_LIMIT}")
-
-
-def relative_q_objects(psi: ExactEmbedding,
-                       max_order: int | None = None) -> FiniteCategory:
+def relative_q_objects(psi: ExactEmbedding) -> FiniteCategory:
     """Category of pairs (U, g: X -> psi U) with X a target object.
 
     A morphism (V, h: Y -> psi V) -> (U, g: X -> psi U) is a bridge
@@ -293,20 +267,9 @@ def relative_q_objects(psi: ExactEmbedding,
     composition is total.
     """
     s, t = psi.source, psi.target
-
-    def in_bounds(inst, obj):
-        return max_order is None or inst.order(obj) <= max_order
-
-    sources = [u for u in s.objects() if in_bounds(s, u)]
-    targets = [x for x in t.objects() if in_bounds(t, x)]
-    objects = []
-    for u in sources:
-        for x in targets:
-            for g in t.hom(x, psi.on_object(u)):
-                objects.append((u, x, g))
-    if len(objects) > 64:
-        raise GuardError(f"relative construction: {len(objects)} objects, "
-                         "bounded at 64 objects")
+    objects = [(u, x, g) for u in s.objects() for x in t.objects()
+               for g in t.hom(x, psi.on_object(u))]
+    errors.require("relative construction", len(objects), "objects", 64)
 
     inverses = {}      # w -> [(sigma, sigma^-1) for sigma in Aut(w)]
     lifts = {}         # (y, psi w_u) -> {psi w_u after b: [b: y -> psi w]}
@@ -369,7 +332,9 @@ def relative_q_objects(psi: ExactEmbedding,
 
     identity = {a: class_of(a, a, identity_span(s, a[0]), t.identity(a[1]))
                 for a in objects}
-    _require_triples(morph)
+    # the axiom check reads each composable triple once and keeps none
+    errors.require("relative span category", string_count(objects, morph, 3),
+                   "composable triples", errors.READ_LIMIT)
 
     def compose(m2, m1):
         span2, alpha2 = datum_of[m2]

@@ -1,4 +1,4 @@
-"""Shared error types and the one size bound of the exhaustive walks."""
+"""Shared error types and the one size guard of the exhaustive walks."""
 
 
 class GuardError(ValueError):
@@ -9,10 +9,19 @@ class GuardError(ValueError):
     """
 
 
-# The most items one exhaustive walk may list: strings of a nerve level
-# (`fincat.NERVE_LEVEL_LIMIT`), composable pairs of a composition table, and
-# the maps and cospans of the triple verification.  Compiling a nerve level
-# keeps every string, its faces and their values in memory; Q(abp:2:8) at
-# depth 3 would need 8,831,325 strings at level 3 and exhausts memory long
-# before that.
+# The most items one walk may keep (strings of a nerve level, composable
+# pairs of a composition table, the maps and cospans of the triple
+# verification), and the most it may only read, at about a microsecond a
+# read (axiom-check triples, cut-table comparisons, element applications).
+# Q(abp:2:8) at depth 3 would keep 8,831,325 strings at level 3 and
+# exhausts memory long before that.
 SIZE_LIMIT = 1_000_000
+READ_LIMIT = 10 * SIZE_LIMIT
+
+
+def require(stage: str, count: int, what: str, limit: int):
+    """Raise GuardError if count > limit.  Pass `errors.SIZE_LIMIT` or
+    `errors.READ_LIMIT`, read at the call, so that a patch of `errors`
+    moves every guard."""
+    if count > limit:
+        raise GuardError(f"{stage}: {count} {what}, over the limit of {limit}")

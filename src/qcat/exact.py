@@ -22,10 +22,9 @@ apexes are built by `Instance._subobject`, cokernels by `_quotient`.
 
 from __future__ import annotations
 
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
-from . import zmod
-from .errors import SIZE_LIMIT, GuardError
+from . import errors, zmod
 from .record import Record
 
 
@@ -164,11 +163,15 @@ class Instance:
         return k, Mor(k, f.src, rows)
 
 
+def _is_prime(q: int) -> bool:
+    return q >= 2 and all(q % k for k in range(2, isqrt(q) + 1))
+
+
 class VectInstance(Instance):
     """F_q vector spaces of dimension at most d, q prime."""
 
     def __init__(self, q: int, d: int):
-        if q < 2 or any(q % k == 0 for k in range(2, q)):
+        if not _is_prime(q):
             raise ValueError(f"q must be prime, got {q}")
         if d < 0:
             raise ValueError("dimension bound must be nonnegative")
@@ -202,7 +205,7 @@ class AbPInstance(Instance):
     """Finite abelian p-groups of order at most `bound`."""
 
     def __init__(self, p: int, bound: int):
-        if p < 2 or any(p % k == 0 for k in range(2, p)):
+        if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if bound < 1:
             raise ValueError("order bound must be positive")
@@ -496,12 +499,6 @@ class TripleReport(Record):
         self.failures = failures
 
 
-def _require_count(count: int, what: str):
-    if count > SIZE_LIMIT:
-        raise GuardError(f"triple verification: {count} {what}, over the "
-                         f"limit of {SIZE_LIMIT}")
-
-
 def verify_triple(inst: Instance) -> TripleReport:
     """For every cospan (mono into Y, epi onto Y): the ambigressive
     pullback exists within bounds, pulling back the epi gives an epi,
@@ -511,18 +508,25 @@ def verify_triple(inst: Instance) -> TripleReport:
     instance whose classes are corrupted (say `inst.epis = inst.hom`)
     is checked as it stands.  The maps those walk are counted before any
     is listed, and the cospans before any is checked, each held to
-    SIZE_LIMIT.
+    SIZE_LIMIT; the maps' applications to the elements of their sources,
+    which are read and not kept, are held to READ_LIMIT.
     """
     objs = inst.objects()
     # monos and epis each walk every hom(v, y), whose entry (i, j) takes
-    # gcd(n_i, m_j) values
-    _require_count(2 * sum(prod(gcd(n, m) for n in inst.moduli_of(y)
-                                for m in inst.moduli_of(v))
-                           for v in objs for y in objs), "maps")
+    # gcd(n_i, m_j) values, and apply each map to every element of v
+    homs = {v: sum(prod(gcd(n, m) for n in inst.moduli_of(y)
+                        for m in inst.moduli_of(v)) for y in objs)
+            for v in objs}
+    errors.require("triple verification", 2 * sum(homs.values()), "maps",
+                   errors.SIZE_LIMIT)
+    errors.require("triple verification",
+                   2 * sum(n * inst.order(v) for v, n in homs.items()),
+                   "element applications", errors.READ_LIMIT)
     by_target = [(y, [i for u in objs for i in inst.monos(u, y)],
                   [e for v in objs for e in inst.epis(v, y)]) for y in objs]
-    _require_count(sum(len(monos) * len(epis) for _, monos, epis in by_target),
-                   "cospans")
+    errors.require("triple verification",
+                   sum(len(monos) * len(epis) for _, monos, epis in by_target),
+                   "cospans", errors.SIZE_LIMIT)
     bounded = set(objs)
     # the fiber product W = {(x, w) : i(x) = e(w)} is never listed: the
     # order of (x, w) is max(ord x, ord w), so W's counts are sums over

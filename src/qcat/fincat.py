@@ -9,7 +9,10 @@ set it returns is complete; otherwise a truncation depth is required.
 
 from __future__ import annotations
 
-from .errors import SIZE_LIMIT as NERVE_LEVEL_LIMIT, GuardError
+from collections import Counter
+from itertools import islice
+
+from . import errors
 from .ordmaps import DeltaMap
 from .simpset import (LevelModel, SimplicialMap, SimplicialSet,
                       edge_path_presentation)
@@ -150,15 +153,13 @@ def composites(morph, compose) -> dict:
     """{(g, f): compose(g, f)} over the composable pairs of `morph` (id ->
     (source, target)): each g in `morph` order, then each f into its source
     in `morph` order.  The pairs, level 2 of the nerve, are counted first
-    and held to NERVE_LEVEL_LIMIT."""
+    and held to SIZE_LIMIT."""
+    errors.require("composition table", string_count((), morph, 2),
+                   f"composable pairs of {len(morph)} morphisms",
+                   errors.SIZE_LIMIT)
     arriving = {}
     for f, (_, t) in morph.items():
         arriving.setdefault(t, []).append(f)
-    pairs = sum(len(arriving.get(s, ())) for s, _ in morph.values())
-    if pairs > NERVE_LEVEL_LIMIT:
-        raise GuardError(f"composition table: {len(morph)} morphisms make "
-                         f"{pairs} composable pairs, over the limit of "
-                         f"{NERVE_LEVEL_LIMIT}")
     return {(g, f): compose(g, f)
             for g, (s, _) in morph.items() for f in arriving.get(s, ())}
 
@@ -273,24 +274,30 @@ def _string_counts(objects, arrows):
     n arrows drawn from `arrows`, given as (source, target) pairs; level 0
     counts the objects.  `ending[x]` counts the strings of the current
     length that end at x, so each level costs one pass over the arrows."""
-    ending = dict.fromkeys(objects, 1)
+    yield len(objects)
+    ending = Counter(t for _, t in arrows)
     while True:
         yield sum(ending.values())
-        nxt = dict.fromkeys(objects, 0)
+        nxt = Counter()
         for s, t in arrows:
             nxt[t] += ending[s]
         ending = nxt
 
 
+def string_count(objects, arrows, n: int) -> int:
+    """The number of strings at level n of the nerve of the graph `arrows`
+    (id -> (source, target)) on `objects`, which only level 0 reads."""
+    return next(islice(_string_counts(objects, arrows.values()), n, None))
+
+
 def require_strings(stage: str, objects, arrows, top: int) -> int:
     """The number of strings at level `top` >= 0 of the nerve of the graph
     `arrows` (id -> (source, target)); raises GuardError, naming `stage`,
-    if a level through `top` is over NERVE_LEVEL_LIMIT."""
+    if a level through `top` is over SIZE_LIMIT."""
     for n, count in zip(range(top + 1),
                         _string_counts(objects, arrows.values())):
-        if count > NERVE_LEVEL_LIMIT:
-            raise GuardError(f"{stage}: level {n} would hold {count} "
-                             f"strings, over the limit of {NERVE_LEVEL_LIMIT}")
+        errors.require(stage, count, f"strings at level {n}",
+                       errors.SIZE_LIMIT)
     return count
 
 
@@ -455,26 +462,20 @@ def nerve_twisted_vs_edgewise(c: FiniteCategory, depth: int = 3):
 # -- comma categories ------------------------------------------------------
 
 
-def comma(fun: FunctorData, x, coslice: bool = False) -> FiniteCategory:
-    """Slice form: objects (c, h: F c -> x); coslice: (c, h: x -> F c).
-    Morphisms are source morphisms making the triangle commute."""
+def comma(fun: FunctorData, x) -> FiniteCategory:
+    """The slice over x: objects (c, h: F c -> x), morphisms the source
+    morphisms making the triangle commute."""
     cc, d = fun.source, fun.target
     if x not in d.objects:
         raise ValueError(f"{x!r} is not an object of the target")
-    objects = []
-    for c0 in cc.objects:
-        fc = fun.on_objects[c0]
-        arrows = d.hom(x, fc) if coslice else d.hom(fc, x)
-        objects.extend((c0, h) for h in arrows)
+    objects = [(c0, h) for c0 in cc.objects
+               for h in d.hom(fun.on_objects[c0], x)]
     morph = {}
     identity = {}
     for (c0, h) in objects:
         for (c1, h1) in objects:
             for u in cc.hom(c0, c1):
-                fu = fun.on_morphisms[u]
-                ok = (d.compose(fu, h) == h1) if coslice else \
-                     (d.compose(h1, fu) == h)
-                if ok:
+                if d.compose(h1, fun.on_morphisms[u]) == h:
                     morph[(u, h, h1)] = ((c0, h), (c1, h1))
         identity[(c0, h)] = (cc.identity[c0], h, h)
     table = composites(morph, lambda g, f: (cc.compose(g[0], f[0]), f[1],

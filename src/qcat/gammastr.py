@@ -15,7 +15,7 @@ number of its image, or -1 for the basepoint.  Sets of cuts are bitmasks.
 from itertools import combinations, product as iproduct
 from math import comb
 
-from .errors import SIZE_LIMIT, GuardError
+from . import errors
 from .fincat import FiniteCategory, FunctorData, composites
 from .ordmaps import DeltaMap, all_maps
 from .record import Record
@@ -227,22 +227,15 @@ def _spread(mask: int, width: int) -> int:
                if mask >> k & 1)
 
 
-# A comparison is a cut-table read of about 1.3 us on a 2-CPU host: 18 s
-# for u-functoriality through arity 6, 34 s for retraction-naturality at 4.
-COMPARISON_LIMIT = 10 * SIZE_LIMIT
-
-
 def _require_comparisons(check: str, max_arity: int, count):
     """Raise unless max_arity >= 0 and count(n), the comparisons through
-    arity n, is within the limit for each n up to it, naming the first n
+    arity n, is within READ_LIMIT for each n up to it, naming the first n
     over it: the counts grow with n, so a huge max_arity costs nothing."""
     if max_arity < 0:
         raise ValueError("max arity must be nonnegative")
     for n in range(max_arity + 1):
-        if count(n) > COMPARISON_LIMIT:
-            raise GuardError(f"{check}: arity {n} would make {count(n)} "
-                             "comparisons, over the limit of "
-                             f"{COMPARISON_LIMIT}")
+        errors.require(check, count(n), f"comparisons through arity {n}",
+                       errors.READ_LIMIT)
 
 
 def u_functoriality_report(max_arity: int) -> CheckReport:

@@ -14,8 +14,7 @@ spine string at most one diagram; the spine comparison against
 composable span strings checks that each corner has one.
 """
 
-from . import fincat
-from .errors import GuardError
+from . import errors, fincat
 from .exact import (
     Instance,
     all_spans,
@@ -148,9 +147,7 @@ def enumerate_ambigressive(inst: Instance, n: int) -> list[AmbigressiveDiagram]:
     corners all have a filler."""
     if n < 0:
         raise ValueError("diagram size must be nonnegative")
-    if n > 3:
-        raise GuardError(f"ambigressive enumeration of size n = {n} "
-                         "requested; it is bounded at n = 3")
+    errors.require("ambigressive enumeration", n, "spine spans", 3)
     if n == 0:
         return [AmbigressiveDiagram(0, {(0, 0): x}, {}, {})
                 for x in inst.objects()]

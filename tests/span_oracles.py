@@ -97,17 +97,12 @@ def _datum_class_key(psi, w, w_u: Mor, w_v: Mor, alpha: Mor, beta: Mor):
     return best
 
 
-def reference_relative_q_objects(psi, max_order=None) -> tuple:
+def reference_relative_q_objects(psi) -> tuple:
     """The `morph`, `identity` and `compose_table` dicts of
-    `deviss.relative_q_objects(psi, max_order)`, by search."""
+    `deviss.relative_q_objects(psi)`, by search."""
     s, t = psi.source, psi.target
-
-    def in_bounds(inst, obj):
-        return max_order is None or inst.order(obj) <= max_order
-
-    sources = [u for u in s.objects() if in_bounds(s, u)]
-    targets = [x for x in t.objects() if in_bounds(t, x)]
-    objects = [(u, x, g) for u in sources for x in targets
+    sources = s.objects()
+    objects = [(u, x, g) for u in sources for x in t.objects()
                for g in t.hom(x, psi.on_object(u))]
 
     def raw_morphisms(src_obj, dst_obj):

@@ -264,8 +264,8 @@ def test_gamma_checks_count_their_comparisons_before_listing_any_map(
     done = run_fresh("gamma", "--check", check, "--max-arity", str(arity))
     assert done.returncode == 1
     assert done.stdout == ""
-    assert done.stderr == (f"qcat gamma: guard: {check}: arity {over} would "
-                           f"make {count} comparisons, over the limit of "
+    assert done.stderr == (f"qcat gamma: guard: {check}: {count} comparisons "
+                           f"through arity {over}, over the limit of "
                            f"10000000\n")
 
 
@@ -278,6 +278,27 @@ def test_triple_verification_counts_the_maps_before_listing_any():
                            "77020054 maps, over the limit of 1000000\n")
 
 
+def test_triple_verification_counts_the_element_applications_first():
+    # vect:100003:1 passes the map guard with 200,012 maps, but listing
+    # them applies each to every element of its source
+    done = run_fresh("check-instance", "--instance", "vect:100003:1")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == ("qcat check-instance: guard: triple verification: "
+                           "20001400028 element applications, over the limit "
+                           "of 10000000\n")
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2147483647:1",
+                                        "vect:2147483647:0"])
+def test_a_large_prime_is_accepted_in_a_fresh_process(descriptor):
+    # 2^31 - 1 is prime; trial division past its square root would take
+    # minutes, which the subprocess timeout turns into a failure
+    done = run_fresh("check-instance", "--instance", descriptor)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"]
+
+
 @pytest.mark.parametrize("descriptor,limit,what", [
     ("vect:2:2", 70, "cospans"),     # 62 maps, 71 cospans
     ("abp:2:4", 97, "maps"),         # 98 maps, 82 cospans
@@ -285,14 +306,14 @@ def test_triple_verification_counts_the_maps_before_listing_any():
 def test_triple_verification_guard_reads_the_size_limit(monkeypatch, capsys,
                                                         descriptor, limit,
                                                         what):
-    from qcat import exact
+    from qcat import errors
 
     argv = ("check-instance", "--instance", descriptor)
-    monkeypatch.setattr(exact, "SIZE_LIMIT", limit)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", limit)
     assert run(capsys, *argv) == (
         1, "", f"qcat check-instance: guard: triple verification: "
                f"{limit + 1} {what}, over the limit of {limit}\n")
-    monkeypatch.setattr(exact, "SIZE_LIMIT", limit + 1)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", limit + 1)
     rc, out, _ = run(capsys, *argv)
     assert rc == 0
     assert json.loads(out)["passed"]
@@ -314,18 +335,20 @@ def test_segal_spine_guard_exits_one_before_building_strings(descriptor,
     done = run_fresh("segal", "--instance", descriptor, "--n", "3")
     assert done.returncode == 1
     assert done.stdout == ""
-    assert (f"segal spine: level 3 would hold {count} strings, "
-            "over the limit of 1000000") in done.stderr
+    assert done.stderr == (f"qcat segal: guard: segal spine: {count} strings "
+                           "at level 3, over the limit of 1000000\n")
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["segal", "--instance", "vect:2:1", "--n", "4"], "bounded at n = 3"),
+    (["segal", "--instance", "vect:2:1", "--n", "4"], "over the limit of 3"),
     (["devissage", "--source", "vect:2:2", "--target", "abp:2:4",
-      "--probes", "0", "--depth", "5"], "bounded at 4"),
-    (["segal", "--instance", "vect:2:1", "--n", "4"], "n = 4 requested"),
+      "--probes", "0", "--depth", "5"], "over the limit of 4"),
+    (["segal", "--instance", "vect:2:1", "--n", "4"],
+     "ambigressive enumeration: 4 spine spans"),
     (["devissage", "--source", "vect:2:2", "--target", "abp:2:4",
-      "--probes", "0", "--depth", "5"], "depth 5 requested"),
-])
+      "--probes", "0", "--depth", "5"], "comma nerve: 5 levels"),
+], ids=["argv0-bounded at n = 3", "argv1-bounded at 4",
+        "argv2-n = 4 requested", "argv3-depth 5 requested"])
 def test_guard_violations_exit_one(capsys, argv, needle):
     rc, out, err = run(capsys, *argv)
     assert rc == 1

@@ -96,6 +96,14 @@ def test_object_inventories(v2, ab4):
         ["0", "Z/2", "Z/2+Z/2", "Z/4"]
 
 
+@pytest.mark.parametrize("cls,name", [(VectInstance, "q"),
+                                      (AbPInstance, "p")])
+@pytest.mark.parametrize("q", [0, 1, 4, 49])
+def test_instances_reject_a_modulus_that_is_not_prime(cls, name, q):
+    with pytest.raises(ValueError, match=f"^{name} must be prime, got {q}$"):
+        cls(q, 1)
+
+
 def test_hom_sizes(v2, ab4):
     assert len(v2.hom(1, 2)) == 4
     assert len(v2.hom(2, 2)) == 16

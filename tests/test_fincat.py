@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qcat import fincat
+from qcat import errors, fincat
 from qcat.cli import main
 from qcat.errors import GuardError
 from qcat.exact import AbPInstance, VectInstance, parse_instance
@@ -203,18 +203,6 @@ def test_comma_slice_over_top_object(poset_inclusion):
     assert nerve(sl).homology() == [(1, []), (0, [])]
 
 
-def test_comma_coslice_under_top_object_is_empty(poset_inclusion):
-    co = comma(poset_inclusion, 2, coslice=True)
-    assert list(co.objects) == []
-    assert check_axioms(co) == []
-
-
-def test_comma_coslice_under_bottom_object(poset_inclusion):
-    co = comma(poset_inclusion, 0, coslice=True)
-    assert sorted(co.objects) == [(0, "0->0"), (1, "0->1")]
-    assert nerve(co).homology() == [(1, []), (0, [])]
-
-
 def test_comma_of_identity_functor_is_contractible():
     two = chain_poset(2)
     sl = comma(identity_functor(two), 2)
@@ -255,7 +243,6 @@ def pairwise_table(morph, compose):
 def test_composites_matches_the_pairwise_scan(poset_inclusion):
     cats = {f"Tw({name})": twisted_arrow(c) for name, c in corpus().items()}
     cats["slice over 2"] = comma(poset_inclusion, 2)
-    cats["coslice under 0"] = comma(poset_inclusion, 0, coslice=True)
     cats["identity slice"] = comma(identity_functor(chain_poset(2)), 2)
     cats["L({0, 1, 2})"] = L_of(frozenset({0, 1, 2}))
     cats["Q(abp:2:4)"] = q_category(AbPInstance(2, 4)).category
@@ -289,11 +276,11 @@ def test_category_pi1_matches_the_nerve():
 def test_nerve_guard_names_the_level_and_its_size(monkeypatch):
     c = q_category(AbPInstance(2, 4)).category
     assert len(_nerve_levels(c, 3)) == 852
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 852)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 852)
     assert nerve_model(c, 3).max_dim == 3
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 851)
-    with pytest.raises(GuardError, match="nerve: level 3 would hold 852 "
-                                         "strings, over the limit of 851"):
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 851)
+    with pytest.raises(GuardError, match="^nerve: 852 strings at level 3, "
+                                         "over the limit of 851$"):
         nerve_model(c, 3)
 
 
@@ -302,23 +289,22 @@ def test_nerve_guard_exits_one_through_the_cli(monkeypatch, capsys):
     # of the category's nerve, so --depth 3 reaches level 7
     c = load_category(BZ2.read_text())
     count = len(_nerve_levels(c, 7))
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", count - 1)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", count - 1)
     rc = main(["twisted", "--in", str(BZ2), "--depth", "3"])
     out, err = capsys.readouterr()
     assert rc == 1
     assert out == ""
-    assert err == (f"qcat twisted: guard: nerve: level 7 would hold {count} "
-                   f"strings, over the limit of {count - 1}\n")
+    assert err == (f"qcat twisted: guard: nerve: {count} strings at level 7, "
+                   f"over the limit of {count - 1}\n")
 
 
 def test_nerve_guard_covers_the_long_strings_of_the_twisted_comparison(
         monkeypatch):
     c = cyclic_group_category(3)
     count = len(_nerve_levels(c, 5))
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", count - 1)
-    with pytest.raises(GuardError, match=f"nerve: level 5 would hold {count} "
-                                         f"strings, over the limit of "
-                                         f"{count - 1}"):
+    monkeypatch.setattr(errors, "SIZE_LIMIT", count - 1)
+    with pytest.raises(GuardError, match=f"^nerve: {count} strings at level "
+                                         f"5, over the limit of {count - 1}$"):
         nerve_twisted_vs_edgewise(c, 2)
 
 
@@ -339,11 +325,11 @@ def test_nerve_guard_covers_the_deepened_target_of_a_nerve_map(monkeypatch):
         on_morphisms={"0->0": "ida", "1->1": "idb", "2->2": "idb",
                       "0->1": "f0", "0->2": "f0", "1->2": "idb"},
     )
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 10)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 10)
     assert nerve_model(chain_poset(2)).max_dim == 2
     assert nerve_model(arrows).max_dim == 1
-    with pytest.raises(GuardError, match="nerve: level 2 would hold 12 "
-                                         "strings, over the limit of 10"):
+    with pytest.raises(GuardError, match="^nerve: 12 strings at level 2, "
+                                         "over the limit of 10$"):
         nerve_map(fun)
 
 

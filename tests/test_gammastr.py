@@ -10,7 +10,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from qcat import gammastr
+from qcat import errors, gammastr
 from qcat.errors import GuardError
 from qcat.fincat import check_axioms
 from qcat.gammastr import (
@@ -441,12 +441,12 @@ def test_gamma_checks_count_their_comparisons_in_closed_form(monkeypatch,
 @pytest.mark.parametrize("check,count", [
     ("u-functoriality", 393), ("retraction-naturality", 12432)])
 def test_gamma_guard_reads_the_comparison_limit(monkeypatch, check, count):
-    monkeypatch.setattr(gammastr, "COMPARISON_LIMIT", count)
+    monkeypatch.setattr(errors, "READ_LIMIT", count)
     assert REPORTS[check](2).checked == count
-    monkeypatch.setattr(gammastr, "COMPARISON_LIMIT", count - 1)
-    with pytest.raises(GuardError, match=f"^{check}: arity 2 would make "
-                                         f"{count} comparisons, over the "
-                                         f"limit of {count - 1}$"):
+    monkeypatch.setattr(errors, "READ_LIMIT", count - 1)
+    with pytest.raises(GuardError, match=f"^{check}: {count} comparisons "
+                                         f"through arity 2, over the limit "
+                                         f"of {count - 1}$"):
         REPORTS[check](2)
 
 

@@ -160,3 +160,63 @@ def test_only_exact_reads_tables():
                        and isinstance(node.ctx, ast.Load))
     assert any(r.startswith("exact.py:") for r in readers)
     assert [r for r in readers if not r.startswith("exact.py:")] == []
+
+
+def _guard_raises(node, scope=""):
+    """The innermost enclosing function or class name of each
+    `raise GuardError` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _guard_raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) \
+                else child.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "GuardError":
+                yield scope
+        yield from _guard_raises(child, scope)
+
+
+def test_guard_errors_are_raised_only_by_errors_require():
+    """Every bound goes through `errors.require`, so every guard message
+    has its one format."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        sites.extend(f"{path.stem}.{scope}" for scope in _guard_raises(tree))
+    assert sites == ["errors.require"]
+
+
+def test_only_errors_names_a_limit():
+    """The limits are read as `errors.SIZE_LIMIT` and `errors.READ_LIMIT`
+    when a guard runs, so patching `errors` moves every guard: no other
+    module binds a `*_LIMIT` name, by assignment or by import."""
+    bound = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname or ""]
+            else:
+                continue
+            bound.setdefault(path.stem, set()).update(
+                n for n in names if n.endswith("_LIMIT"))
+    assert {m: n for m, n in bound.items() if n} == {
+        "errors": {"SIZE_LIMIT", "READ_LIMIT"}}
+
+
+def test_workflows_parse_and_every_step_runs_or_uses_an_action():
+    import yaml
+
+    workflows = sorted((SRC.parent.parent / ".github" / "workflows")
+                       .glob("*.yml"))
+    assert workflows
+    for path in workflows:
+        jobs = yaml.safe_load(path.read_text(encoding="utf-8"))["jobs"]
+        assert jobs, path.name
+        for name, job in jobs.items():
+            assert job["steps"], (path.name, name)
+            for step in job["steps"]:
+                assert "run" in step or "uses" in step, (path.name, name, step)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qcat import fincat, qcons, zmod
+from qcat import errors, fincat, qcons, zmod
 from qcat.cli import main
 from qcat.errors import GuardError
 from qcat.exact import (
@@ -281,15 +281,15 @@ def test_k0_rejects_a_disconnected_span_category(monkeypatch):
 def test_composition_table_guard_counts_the_pairs_first(monkeypatch, capsys):
     # Q(abp:2:4) has 28 morphisms and 154 composable pairs
     argv = ["k0", "--instance", "abp:2:4", "--depth", "2"]
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 153)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 153)
     monkeypatch.setattr(qcons, "span_compose", None)   # never reached
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == ("qcat k0: guard: composition table: 28 morphisms make "
-                   "154 composable pairs, over the limit of 153\n")
+    assert err == ("qcat k0: guard: composition table: 154 composable pairs "
+                   "of 28 morphisms, over the limit of 153\n")
     monkeypatch.undo()
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 154)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 154)
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["k0"] == "Z"
 
@@ -494,10 +494,8 @@ def reference_spine_strings(inst: Instance, n: int):
     spans = {(x, y): all_spans(inst, x, y) for x in objs for y in objs}
     arrows = [pair for pair, ss in spans.items() for _ in ss]
     for level, count in zip(range(n + 1), fincat._string_counts(objs, arrows)):
-        if count > fincat.NERVE_LEVEL_LIMIT:
-            raise GuardError(f"segal spine: level {level} would hold {count} "
-                             f"strings, over the limit of "
-                             f"{fincat.NERVE_LEVEL_LIMIT}")
+        errors.require("segal spine", count, f"strings at level {level}",
+                       errors.SIZE_LIMIT)
     strings = [((x,), ()) for x in objs]
     for _ in range(n):
         nxt = []
@@ -673,11 +671,11 @@ def test_a_corner_without_a_filler_fails_the_segal_check(monkeypatch, capsys,
 
 def test_segal_spine_guard_reads_the_nerve_level_limit(monkeypatch, ab4):
     # level 2 of the spine of Q(abp:2:4) holds 154 strings
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 154)
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 154)
     assert qcons.segal_spine_check(ab4, 2).composable_strings == 154
-    monkeypatch.setattr(fincat, "NERVE_LEVEL_LIMIT", 153)
-    with pytest.raises(GuardError, match="segal spine: level 2 would hold "
-                                         "154 strings, over the limit of 153"):
+    monkeypatch.setattr(errors, "SIZE_LIMIT", 153)
+    with pytest.raises(GuardError, match="^segal spine: 154 strings at level "
+                                         "2, over the limit of 153$"):
         qcons.segal_spine_check(ab4, 2)
 
 
