@@ -137,22 +137,15 @@ def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     witnesses = []
     for i, step in enumerate(inclusions):
         q_obj = t.cokernel(step)[0]
-        struct = t._exps_of(q_obj)
-        if any(e != 1 for e in struct):
+        if any(m != t.p for m in t.moduli_of(q_obj)):
             raise ValueError(
                 f"stage {i + 1} quotient of {t.label(x)} is not elementary abelian")
-        try:
-            u = psi.source.object_of_structure(struct)
-        except ValueError:
-            u = None
-        if u is None or u not in psi.source.objects():
+        u = next((u for u in psi.source.objects()
+                  if psi.on_object(u) == q_obj), None)
+        if u is None:
             raise ValueError(
                 f"no filtration within bounds: stage {i + 1} quotient "
                 f"{t.label(q_obj)} of {t.label(x)} has no source witness")
-        if psi.on_object(u) != q_obj:
-            raise ValueError(
-                f"witness object for stage {i + 1} of {t.label(x)} "
-                "does not map onto the quotient")
         quotients.append(q_obj)
         witnesses.append(u)
 

@@ -98,20 +98,36 @@ def check_axioms(c: FiniteCategory) -> list[str]:
     for m, (s, t) in c.morph.items():
         if s not in c.objects or t not in c.objects:
             problems.append(f"morphism {m!r} has unknown endpoints")
-    for g in c.morph:
-        for f in c.morph:
-            composable = c.dst(f) == c.src(g)
-            present = (g, f) in c.compose_table
-            if composable and not present:
-                problems.append(f"missing composite {g!r} after {f!r}")
-            if present and not composable:
-                problems.append(f"composite defined for non-composable {g!r}, {f!r}")
-            if present:
-                gf = c.compose_table[(g, f)]
-                if gf not in c.morph:
-                    problems.append(f"composite {g!r} after {f!r} is unknown")
-                elif composable and c.morph[gf] != (c.src(f), c.dst(g)):
-                    problems.append(f"composite {g!r} after {f!r} has wrong endpoints")
+    # Each name is hashed once, into its place in `c.morph` order; the
+    # scans below run on places, so their problems come out in the order
+    # of a scan over all M^2 pairs and then all M^3 triples.
+    names = list(c.morph)
+    ends = list(c.morph.values())
+    place = {m: k for k, m in enumerate(names)}
+    arriving = {}          # object -> places of the arrows into it
+    for k, (_, t) in enumerate(ends):
+        arriving.setdefault(t, []).append(k)
+    present = {}           # place of g -> {place of f: place of g∘f or None}
+    for (g, f), gf in c.compose_table.items():
+        if g in place and f in place:
+            present.setdefault(place[g], {})[place[f]] = place.get(gf)
+    for g, (s, t) in enumerate(ends):
+        known = present.get(g, {})
+        for f in sorted(known.keys() | set(arriving.get(s, ()))):
+            g_name, f_name = names[g], names[f]
+            composable = ends[f][1] == s
+            if f not in known:
+                problems.append(f"missing composite {g_name!r} after {f_name!r}")
+                continue
+            if not composable:
+                problems.append(f"composite defined for non-composable "
+                                f"{g_name!r}, {f_name!r}")
+            if known[f] is None:
+                problems.append(f"composite {g_name!r} after {f_name!r} "
+                                "is unknown")
+            elif composable and ends[known[f]] != (ends[f][0], t):
+                problems.append(f"composite {g_name!r} after {f_name!r} "
+                                "has wrong endpoints")
     if problems:
         return problems
     for f in c.morph:
@@ -119,23 +135,22 @@ def check_axioms(c: FiniteCategory) -> list[str]:
             problems.append(f"left unit law fails at {f!r}")
         if c.compose(f, c.identity[c.src(f)]) != f:
             problems.append(f"right unit law fails at {f!r}")
-    # Only composable triples are visited, each list of arrows into an
-    # object kept in `c.morph` order so the problems come out in the order
-    # of a scan over all M^3 triples.  The checks above make every
-    # composable pair a key of the table, read here as rows after[g][f].
-    arriving = {}
-    for f, (_, t) in c.morph.items():
-        arriving.setdefault(t, []).append(f)
-    after = {g: {f: c.compose_table[g, f] for f in arriving.get(c.src(g), ())}
-             for g in c.morph}
-    for h in c.morph:
-        after_h = after[h]
-        for g in arriving.get(c.src(h), ()):
-            after_hg, after_g = after[after_h[g]], after[g]
-            problems.extend(
-                f"associativity fails at ({h!r}, {g!r}, {f!r})"
-                for f in arriving.get(c.src(g), ())
-                if after_hg[f] != after_h[after_g[f]])
+    # row[g][i] is the place of g∘f_i among the arrows into g's target,
+    # f_i the i-th arrow into g's source, so h∘(g∘f_i) = row[h][row[g][i]]
+    # and (h∘g)∘f_i = row[h∘g][i]; only composable triples are visited.
+    slot = {k: i for into in arriving.values() for i, k in enumerate(into)}
+    row = [[slot[present[g][f]] for f in arriving.get(s, ())]
+           for g, (s, _) in enumerate(ends)]
+    for h, (s, t) in enumerate(ends):
+        row_h, into_t = row[h], arriving[t]
+        for i, g in enumerate(arriving.get(s, ())):
+            row_hg, row_g = row[into_t[row_h[i]]], row[g]
+            if row_hg != [row_h[k] for k in row_g]:
+                problems.extend(
+                    f"associativity fails at ({names[h]!r}, {names[g]!r}, "
+                    f"{names[f]!r})"
+                    for f, k, hgf in zip(arriving[ends[g][0]], row_g, row_hg)
+                    if hgf != row_h[k])
     return problems
 
 
@@ -470,14 +485,13 @@ def comma(fun: FunctorData, x) -> FiniteCategory:
         raise ValueError(f"{x!r} is not an object of the target")
     objects = [(c0, h) for c0 in cc.objects
                for h in d.hom(fun.on_objects[c0], x)]
+    # u: c0 -> c1 and h1: F c1 -> x give the one arrow with h = h1 F(u)
     morph = {}
-    identity = {}
-    for (c0, h) in objects:
-        for (c1, h1) in objects:
-            for u in cc.hom(c0, c1):
-                if d.compose(h1, fun.on_morphisms[u]) == h:
-                    morph[(u, h, h1)] = ((c0, h), (c1, h1))
-        identity[(c0, h)] = (cc.identity[c0], h, h)
+    for (c1, h1) in objects:
+        for u in cc.morphisms_to(c1):
+            h = d.compose(h1, fun.on_morphisms[u])
+            morph[(u, h, h1)] = ((cc.src(u), h), (c1, h1))
+    identity = {(c0, h): (cc.identity[c0], h, h) for c0, h in objects}
     table = composites(morph, lambda g, f: (cc.compose(g[0], f[0]), f[1],
                                             g[2]))
     return FiniteCategory(objects, morph, identity, table)

@@ -9,15 +9,14 @@ the triangular matrices that contain every m_i e_i, without building
 any subgroup's elements; the key rows generate the subgroup, so they
 are also the input of the Smith path below.
 
-Two paths type a subgroup.  `structure_from_killed` reads the invariant
-factors off the counts of elements killed by p^k and builds nothing
-else: `exact.verify_triple` sums those counts over fibers and types
-each distinct count vector once (7 of them for the 37,443 cospans of
-abp:2:8).  Callers that need maps as well
-(span legs, kernels, cokernels, pushouts, filtration stages) take the
-Smith path: `subgroup_basis` and `quotient_map` start from generators,
-Hermite-reduce them with the moduli, and read bases and projections off
-one Smith form with transforms.
+One path types a subgroup, the Smith path: `subgroup_basis` and
+`quotient_map` start from generators, Hermite-reduce them with the
+moduli, and read the invariant factors, bases and projections off one
+Smith form with transforms.  Its callers are the span legs, kernels,
+cokernels, pushouts and filtration stages.  `order_exps` only counts:
+a finite abelian p-group's type is fixed by how many elements each p^k
+kills, so `exact.verify_triple` compares those counts with the objects'
+own and types nothing.
 """
 
 from __future__ import annotations
@@ -149,22 +148,6 @@ def order_exps(moduli: Moduli, els, p: int) -> list[int]:
              for m in set(moduli)}
     return [max((table[m][c % m] for c, m in zip(x, moduli)), default=0)
             for x in els]
-
-
-def structure_from_killed(killed, p: int) -> tuple[int, ...]:
-    """Invariant-factor exponents (nonincreasing) of a finite abelian
-    p-group with killed[k] elements annihilated by p^k (k = 0, 1, ...):
-    killed[k] / killed[k-1] is p to the number of factors of exponent >= k."""
-    at_least = [_exact_log(p, killed[i] // killed[i - 1])
-                for i in range(1, len(killed))]
-    exps = []
-    for depth, count in enumerate(at_least, start=1):
-        # `count` factors have exponent >= depth
-        while len(exps) < count:
-            exps.append(0)
-        for i in range(count):
-            exps[i] = depth
-    return tuple(sorted(exps, reverse=True))
 
 
 def subgroup_basis(moduli: Moduli, gens, p: int):

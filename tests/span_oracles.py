@@ -6,12 +6,14 @@ dst -> src.  `span_members` reads the graph subgroup W of src + dst off
 that table; `_graph_ok` and `span_from_members` are the member-set
 checks and constructor that the table replaced, kept as its oracle.
 `direct_sum` gives the biproduct of two objects of an instance with its
-injections and projections.  `reference_relative_q_objects` is the
-relative span category as it was built before it composed on the span
-table: a five-deep search for each morphism datum and an ambigressive
-pullback and a search for beta for each composite.
+injections and projections, typed by their exponents (`exps_of`).
+`reference_relative_q_objects` is the relative span category as it was
+built before it composed on the span table: a five-deep search for each
+morphism datum and an ambigressive pullback and a search for beta for
+each composite.
 """
 
+from qcat import zmod
 from qcat.errors import GuardError
 from qcat.exact import Mor, Span, ambigressive_pullback
 
@@ -49,11 +51,18 @@ def span_from_members(inst, x, y, members) -> Span:
     return Span(x, y, tuple(table))
 
 
+def exps_of(inst, x) -> tuple:
+    """The exponents e_i of x's moduli p^e_i: the orders of its unit
+    vectors."""
+    moduli = inst.moduli_of(x)
+    return tuple(zmod.order_exps(moduli, zmod.identity_rows(moduli), inst.p))
+
+
 def direct_sum(inst, x, y):
     """Returns (s, i1, i2, p1, p2); the summands land in the canonical
     object, whose components are the merged moduli in sorted order."""
-    ex = list(inst._exps_of(x))
-    ey = list(inst._exps_of(y))
+    ex = list(exps_of(inst, x))
+    ey = list(exps_of(inst, y))
     merged = ex + ey
     order = sorted(range(len(merged)), key=lambda t: (-merged[t], t))
     s = inst.object_of_structure(tuple(merged[t] for t in order))

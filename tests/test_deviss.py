@@ -166,6 +166,23 @@ def test_filtration_of_mixed_torsion_object():
     assert [psi.source.label(w) for w in filt.witnesses] == ["F^2", "F^1"]
 
 
+def test_filtration_witnesses_through_the_identity_embedding():
+    # each witness is the source object psi maps onto its quotient, which
+    # under the identity is the quotient itself
+    psi = IdentityEmbedding(AbPInstance(2, 8))
+    t = psi.target
+    table = {}
+    for x in t.objects():
+        filt = admissible_filtration(psi, x)
+        assert filt.witnesses == filt.quotient_objects, x
+        table[t.label(x)] = tuple(t.label(q) for q in filt.quotient_objects)
+    assert table == {
+        "0": (), "Z/2": ("Z/2",), "Z/4": ("Z/2", "Z/2"),
+        "Z/2+Z/2": ("Z/2+Z/2",), "Z/8": ("Z/2", "Z/2", "Z/2"),
+        "Z/4+Z/2": ("Z/2+Z/2", "Z/2"), "Z/2+Z/2+Z/2": ("Z/2+Z/2+Z/2",),
+    }
+
+
 def test_filtration_stage_orders_multiply(psi):
     t = psi.target
     for x in t.objects():

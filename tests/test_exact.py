@@ -34,8 +34,10 @@ from qcat.exact import (
     verify_triple,
 )
 from qcat.snf import smith_diagonal
-from span_oracles import _graph_ok, direct_sum, span_from_members, span_members
-from test_zmod import closure, reference_all_subgroups, structure_of
+from span_oracles import (_graph_ok, direct_sum, exps_of, span_from_members,
+                          span_members)
+from test_zmod import (closure, reference_all_subgroups, structure_from_killed,
+                       structure_of)
 
 
 def ambigressive_pushout(inst: Instance, i: Mor, e: Mor) -> Square:
@@ -655,7 +657,29 @@ TRIPLE_CLASSES = {
 def test_verify_triple_matches_the_member_listing_oracle(descriptor, classes):
     inst = parse_instance(descriptor)
     TRIPLE_CLASSES[classes](inst)
-    assert verify_triple(inst) == reference_verify_triple(inst)
+    report = verify_triple(inst)
+    assert report == reference_verify_triple(inst)
+    # a mono leg that is any map lets W outgrow every object
+    escapes = sum(f.endswith("pullback escapes bounds") for f in report.failures)
+    assert (escapes > 0) == (classes == "all maps ingressive")
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2:4", "abp:2:8", "abp:3:9",
+                                        "abp:5:25", "vect:2:2", "vect:3:2",
+                                        "vect:5:2"])
+def test_killed_counts_type_every_object(descriptor):
+    """The premise of verify_triple's bounds check: the number of elements
+    each p^k kills fixes an object's type, so the objects' count vectors
+    are pairwise distinct and each reads back to its object's exponents."""
+    inst = parse_instance(descriptor)
+    ords = {x: zmod.order_exps(inst.moduli_of(x), inst.elements(x), inst.p)
+            for x in inst.objects()}
+    top = max(max(o) for o in ords.values())
+    killed = {x: tuple(sum(o <= k for o in ords[x]) for k in range(top + 1))
+              for x in ords}
+    assert len(set(killed.values())) == len(killed)
+    for x, counts in killed.items():
+        assert structure_from_killed(counts, inst.p) == exps_of(inst, x), x
 
 
 def test_parse_instance():

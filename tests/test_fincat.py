@@ -435,4 +435,18 @@ def test_check_axioms_matches_full_scan_on_corrupted_tables(sample_categories):
             problems = check_axioms(broken)
             assert problems == reference_check_axioms(broken), (name, g, f, bad)
             flagged += any("associativity" in p for p in problems)
+        # a deleted composable pair, and a key for a non-composable pair
+        g, f = pairs[rng.randrange(len(pairs))]
+        table = dict(c.compose_table)
+        del table[(g, f)]
+        tables = [table]
+        loose = sorted(((g, f) for g in c.morph for f in c.morph
+                        if c.dst(f) != c.src(g)), key=repr)
+        if loose:
+            g, f = loose[rng.randrange(len(loose))]
+            tables.append({**c.compose_table, (g, f): g})
+        for table in tables:
+            broken = FiniteCategory(c.objects, c.morph, c.identity, table)
+            problems = check_axioms(broken)
+            assert problems and problems == reference_check_axioms(broken), name
     assert flagged >= 10

@@ -40,11 +40,21 @@ def closure(moduli, gens):
     return frozenset(seen)
 
 
+def structure_from_killed(killed, p):
+    """Invariant-factor exponents (nonincreasing) of a finite abelian
+    p-group with killed[k] elements annihilated by p^k (k = 0, 1, ...):
+    killed[k] / killed[k-1] is p to the number c_k of factors of exponent
+    >= k, so factor i has exponent #{k : c_k > i}."""
+    at_least = [zmod._exact_log(p, b // a) for a, b in zip(killed, killed[1:])]
+    return tuple(sum(c > i for c in at_least)
+                 for i in range(max(at_least, default=0)))
+
+
 def structure_of(moduli, els, p):
     """Invariant-factor exponents (nonincreasing) of a subgroup of a
     p-group, read off from its element orders."""
     by_order = Counter(zmod.order_exps(moduli, els, p))
-    return zmod.structure_from_killed(list(accumulate(
+    return structure_from_killed(list(accumulate(
         by_order[k] for k in range(max(by_order, default=0) + 1))), p)
 
 
