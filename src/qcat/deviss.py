@@ -97,57 +97,41 @@ class AdmissibleFiltration:
         # source objects U_i with psi U_i = X_i / X_{i-1}
         self.witnesses = witnesses
 
-    @property
-    def length(self) -> int:
-        return len(self.stage_objects) - 1
-
 
 def admissible_filtration(psi: ExactEmbedding, x) -> AdmissibleFiltration:
     """Filtration of x by p-power torsion, with each quotient certified
     as the image of a source object.
 
-    X_i is the kernel of multiplication by p^i, so the quotients have
-    exponent p; failure to realize a quotient in the source (dimension
-    too big) is exactly the evidence that the embedding misses x.
+    X_i is the kernel of multiplication by p^i, so X_i / X_{i-1} is one
+    Z/p for each cyclic factor of x of order at least p^i: elementary by
+    construction, and counted from x's moduli.  Failure to realize a
+    quotient in the source (dimension too big) is exactly the evidence
+    that the embedding misses x.
     """
     t = psi.target
     if x not in t.objects():
         raise ValueError(f"{x!r} is not an object of the target instance")
-    ident = t.identity(x).rows
-    stage_objects = []
-    stage_incls = []               # into x, used to express the chain maps
+    ident = t.identity(x)
+    obj, lower = t.kernel(ident)   # X_0 = 0, and X_{i-1} >-> x
+    stage_objects, inclusions, quotients, witnesses = [obj], [], [], []
     q = 1
-    while True:
-        scaled = tuple(tuple(q * a for a in row) for row in ident)
-        obj, incl = t.kernel(Mor(x, x, scaled))
-        stage_objects.append(obj)
-        stage_incls.append(incl)
-        if t.order(obj) == t.order(x):
-            break
+    while t.order(lower.src) != t.order(x):
         q *= t.p
-
-    inclusions = []
-    for i in range(1, len(stage_objects)):
-        lower, upper = stage_incls[i - 1], stage_incls[i]
-        step = next(u for u in t.hom(lower.src, upper.src)
-                    if t.compose(upper, u) == lower)
-        inclusions.append(step)
-
-    quotients = []
-    witnesses = []
-    for i, step in enumerate(inclusions):
-        q_obj = t.cokernel(step)[0]
-        if any(m != t.p for m in t.moduli_of(q_obj)):
-            raise ValueError(
-                f"stage {i + 1} quotient of {t.label(x)} is not elementary abelian")
+        scaled = tuple(tuple(q * a for a in row) for row in ident.rows)
+        obj, upper = t.kernel(Mor(x, x, scaled))
+        stage_objects.append(obj)
+        inclusions.append(next(u for u in t.hom(lower.src, obj)
+                               if t.compose(upper, u) == lower))
+        q_obj = t.object_of_structure((1,) * sum(m >= q for m in t.moduli_of(x)))
         u = next((u for u in psi.source.objects()
                   if psi.on_object(u) == q_obj), None)
         if u is None:
             raise ValueError(
-                f"no filtration within bounds: stage {i + 1} quotient "
+                f"no filtration within bounds: stage {len(inclusions)} quotient "
                 f"{t.label(q_obj)} of {t.label(x)} has no source witness")
         quotients.append(q_obj)
         witnesses.append(u)
+        lower = upper
 
     return AdmissibleFiltration(x, tuple(stage_objects), tuple(inclusions),
                                 tuple(quotients), tuple(witnesses))

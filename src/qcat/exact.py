@@ -14,10 +14,11 @@ partial map Y -> X defined on a subgroup V of Y.  Its table over the
 elements of Y is the unique representative of the span's isomorphism
 class.  `all_spans` enumerates the classes as the pairs (V <= Y, epi
 V ->> X) and records each class's legs for `span_legs`; composition is
-composition of tables, and the Hermite key of W (`zmod.subgroup_key`,
-read off the legs) only orders `all_spans`; a cospan's pullback is the
-class whose table is its graph (`pullback_legs`).  Kernels and span
-apexes are built by `Instance._subobject`, cokernels by `_quotient`.
+composition of tables, and a cospan's pullback is the class whose table
+is its graph (`pullback_legs`).  The Hermite key (`zmod.subgroup_key`)
+of W orders `all_spans`, and `is_mono` and `is_epi` read the index of a
+map's image off the pivots of its key.  Kernels and span apexes are
+built by `Instance._subobject`, cokernels by `_quotient`.
 """
 
 from __future__ import annotations
@@ -119,13 +120,16 @@ class Instance:
                    zmod.mat_mul(self.moduli_of(g.dst), g.rows, f.rows,
                                 len(self.moduli_of(f.src))))
 
+    def _image_index(self, f: Mor) -> int:
+        """[f.dst : f(f.src)], the product of the image key's pivots."""
+        key = zmod.subgroup_key(self.moduli_of(f.dst), list(zip(*f.rows)))
+        return prod(row[i] for i, row in enumerate(key))
+
     def is_mono(self, f: Mor) -> bool:
-        z = zmod.zero(self.moduli_of(f.dst))
-        return [self.apply(f, v) for v in self.elements(f.src)].count(z) == 1
+        return self.order(f.src) * self._image_index(f) == self.order(f.dst)
 
     def is_epi(self, f: Mor) -> bool:
-        return len({self.apply(f, v) for v in self.elements(f.src)}) == \
-            self.order(f.dst)
+        return self._image_index(f) == 1
 
     def monos(self, x, y) -> list[Mor]:
         return [f for f in self.hom(x, y) if self.is_mono(f)]
@@ -504,12 +508,12 @@ def verify_triple(inst: Instance) -> TripleReport:
     instance whose classes are corrupted (say `inst.epis = inst.hom`)
     is checked as it stands.  The maps those walk are counted before any
     is listed, and the cospans before any is checked, each held to
-    SIZE_LIMIT; the maps' applications to the elements of their sources,
-    which are read and not kept, are held to READ_LIMIT.
+    SIZE_LIMIT; the image and fiber tables' element reads, at most the
+    maps' applications to their sources, are held to READ_LIMIT.
     """
     objs = inst.objects()
     # monos and epis each walk every hom(v, y), whose entry (i, j) takes
-    # gcd(n_i, m_j) values, and apply each map to every element of v
+    # gcd(n_i, m_j) values; the tables apply at most each to all of v
     homs = {v: sum(prod(gcd(n, m) for n in inst.moduli_of(y)
                         for m in inst.moduli_of(v)) for y in objs)
             for v in objs}

@@ -501,13 +501,6 @@ class CompiledLevelModel:
             for t, n in self.space.dims.items()})
 
 
-def truncate(x: SimplicialSet, depth: int) -> SimplicialSet:
-    """Forget everything above `depth`, marking the result truncated."""
-    dims = {s: n for s, n in x.dims.items() if n <= depth}
-    faces = {s: x.faces[s] for s in dims if dims[s] > 0}
-    return SimplicialSet(dims, faces, depth, check=False)
-
-
 # -- stock spaces --------------------------------------------------------
 
 

@@ -7,7 +7,9 @@ preimage lattice in Z^r (`subgroup_key`), which is unique, so equal
 subgroups have equal keys.  `all_subgroups` lists the keys directly as
 the triangular matrices that contain every m_i e_i, without building
 any subgroup's elements; the key rows generate the subgroup, so they
-are also the input of the Smith path below.
+are also the input of the Smith path below.  The key contains every
+m_i e_i, so it is square, and its pivots multiply to the subgroup's
+index: `exact` reads a map's mono and epi verdicts off its image's key.
 
 One path types a subgroup, the Smith path: `subgroup_basis` and
 `quotient_map` start from generators, Hermite-reduce them with the

@@ -135,16 +135,17 @@ def test_malformed_input_exits_two(capsys, argv, needle):
     assert needle in err
 
 
-def run_fresh(*argv, text=True, **env_vars):
-    """Runs qcat in a fresh process with a timeout, so a command that
-    loops or runs away fails its test instead of hanging the suite.
-    `text=False` keeps stdout and stderr as bytes; `env_vars` are added
-    to the child's environment."""
+def run_fresh(*argv, text=True, timeout=60, **env_vars):
+    """Runs qcat in a fresh process with a timeout in seconds, so a
+    command that loops or runs away fails its test instead of hanging the
+    suite.  `text=False` keeps stdout and stderr as bytes; `env_vars` are
+    added to the child's environment."""
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "qcat", *argv], cwd=ROOT,
-                          env=env, capture_output=True, text=text, timeout=60)
+                          env=env, capture_output=True, text=text,
+                          timeout=timeout)
 
 
 def fresh_digests(lines, seed="0") -> dict:
@@ -279,14 +280,24 @@ def test_triple_verification_counts_the_maps_before_listing_any():
 
 
 def test_triple_verification_counts_the_element_applications_first():
-    # vect:100003:1 passes the map guard with 200,012 maps, but listing
-    # them applies each to every element of its source
+    # vect:100003:1 passes the map guard with 200,012 maps; the count
+    # bounds the element reads of the verification's image and fiber tables
     done = run_fresh("check-instance", "--instance", "vect:100003:1")
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == ("qcat check-instance: guard: triple verification: "
                            "20001400028 element applications, over the limit "
                            "of 10000000\n")
+
+
+def test_triple_verification_counts_the_cospans_after_listing_the_maps():
+    # abp:3:27 passes both count guards, so its 23,509 maps are listed and
+    # sorted into monos and epis before the cospans are counted
+    done = run_fresh("check-instance", "--instance", "abp:3:27", timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == ("qcat check-instance: guard: triple verification: "
+                           "133531567 cospans, over the limit of 1000000\n")
 
 
 @pytest.mark.parametrize("descriptor", ["abp:2147483647:1",

@@ -16,12 +16,19 @@ from qcat.delta import (
 from qcat.ordmaps import DeltaMap, all_maps
 from qcat.simpset import (
     SimplicialMap,
+    SimplicialSet,
     left_fibration_check,
     standard_simplex,
-    truncate,
 )
 from test_simpset import boundary_of_simplex, find_isomorphism, pullback_map
 from triangulations import HOMOLOGY, surface
+
+
+def truncate(x: SimplicialSet, depth: int) -> SimplicialSet:
+    """Forget everything above `depth`, marking the result truncated."""
+    dims = {s: n for s, n in x.dims.items() if n <= depth}
+    faces = {s: x.faces[s] for s in dims if dims[s] > 0}
+    return SimplicialSet(dims, faces, depth, check=False)
 
 
 def test_apply_object_values():

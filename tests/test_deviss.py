@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from qcat.deviss import (
+    AdmissibleFiltration,
     ExactEmbedding,
     VectToAbP,
     admissible_filtration,
@@ -25,7 +26,8 @@ from qcat.deviss import (
 )
 from qcat.errors import GuardError
 from qcat.exact import (AbPInstance, Instance, Mor, Square, VectInstance,
-                        bicartesian_check, exact_sequence_squares)
+                        bicartesian_check, exact_sequence_squares,
+                        parse_instance)
 from qcat.simpset import contractibility
 from span_oracles import direct_sum, reference_relative_q_objects
 
@@ -145,7 +147,7 @@ def test_filtration_table_on_small_abelian_instance(psi):
     for x in t.objects():
         filt = admissible_filtration(psi, x)
         table[t.label(x)] = (
-            filt.length,
+            len(filt.stage_objects) - 1,
             tuple(t.label(o) for o in filt.quotient_objects),
             tuple(s.label(w) for w in filt.witnesses),
         )
@@ -193,6 +195,88 @@ def test_filtration_stage_orders_multiply(psi):
             assert lower * t.order(q) == upper
         for step in filt.inclusions:
             assert t.is_mono(step)
+
+
+def reference_admissible_filtration(psi: ExactEmbedding, x):
+    """The filtration with each quotient built as a cokernel and checked
+    to be elementary abelian."""
+    t = psi.target
+    if x not in t.objects():
+        raise ValueError(f"{x!r} is not an object of the target instance")
+    ident = t.identity(x).rows
+    stage_objects = []
+    stage_incls = []
+    q = 1
+    while True:
+        scaled = tuple(tuple(q * a for a in row) for row in ident)
+        obj, incl = t.kernel(Mor(x, x, scaled))
+        stage_objects.append(obj)
+        stage_incls.append(incl)
+        if t.order(obj) == t.order(x):
+            break
+        q *= t.p
+    inclusions = []
+    for i in range(1, len(stage_objects)):
+        lower, upper = stage_incls[i - 1], stage_incls[i]
+        inclusions.append(next(u for u in t.hom(lower.src, upper.src)
+                               if t.compose(upper, u) == lower))
+    quotients = []
+    witnesses = []
+    for i, step in enumerate(inclusions):
+        q_obj = t.cokernel(step)[0]
+        if any(m != t.p for m in t.moduli_of(q_obj)):
+            raise ValueError(f"stage {i + 1} quotient of {t.label(x)} is "
+                             f"not elementary abelian")
+        u = next((u for u in psi.source.objects()
+                  if psi.on_object(u) == q_obj), None)
+        if u is None:
+            raise ValueError(
+                f"no filtration within bounds: stage {i + 1} quotient "
+                f"{t.label(q_obj)} of {t.label(x)} has no source witness")
+        quotients.append(q_obj)
+        witnesses.append(u)
+    return AdmissibleFiltration(x, tuple(stage_objects), tuple(inclusions),
+                                tuple(quotients), tuple(witnesses))
+
+
+def _filtration_or_error(build, psi, x):
+    try:
+        filt = build(psi, x)
+    except ValueError as exc:
+        return str(exc)
+    return tuple(getattr(filt, field) for field in filt.__slots__)
+
+
+FILTRATION_EMBEDDINGS = {
+    "vect:2:2 -> abp:2:4": lambda: VectToAbP(VectInstance(2, 2),
+                                             AbPInstance(2, 4)),
+    "vect:2:2 -> abp:2:8": lambda: VectToAbP(VectInstance(2, 2),
+                                             AbPInstance(2, 8)),
+    "vect:2:1 -> abp:2:8": lambda: VectToAbP(VectInstance(2, 1),
+                                             AbPInstance(2, 8)),
+    "vect:3:2 -> abp:3:27": lambda: VectToAbP(VectInstance(3, 2),
+                                              AbPInstance(3, 27)),
+    **{f"id {d}": (lambda d=d: IdentityEmbedding(parse_instance(d)))
+       for d in ["abp:2:8", "abp:2:16", "abp:3:27", "abp:5:25", "vect:2:2",
+                 "vect:3:2"]},
+}
+
+
+@pytest.mark.parametrize("embedding", sorted(FILTRATION_EMBEDDINGS))
+def test_filtration_matches_the_cokernel_oracle(embedding):
+    psi = FILTRATION_EMBEDDINGS[embedding]()
+    got = {x: _filtration_or_error(admissible_filtration, psi, x)
+           for x in psi.target.objects()}
+    want = {x: _filtration_or_error(reference_admissible_filtration, psi, x)
+            for x in psi.target.objects()}
+    assert got == want
+    # the first quotient has one Z/p per cyclic factor of x, so x has a
+    # filtration exactly when the source has an object of that rank
+    rank = max(len(psi.source.moduli_of(u)) for u in psi.source.objects())
+    for x, v in got.items():
+        missed = len(psi.target.moduli_of(x)) > rank
+        assert isinstance(v, str) == missed, x
+        assert not missed or "has no source witness" in v
 
 
 def test_filtration_witness_failure_outside_bounds():

@@ -6,6 +6,8 @@ oracle below re-derives the d=1 counts a third way, as orbits of leg
 pairs under automorphisms of the apex.
 """
 
+import random
+
 import pytest
 
 from qcat import exact, zmod
@@ -167,6 +169,47 @@ def test_abp_predicates_match_snf_oracle(ab4):
                 assert ab4.is_epi(f) == (coker == 1)
                 assert ab4.is_mono(f) == \
                     (ab4.order(x) * coker == ab4.order(y))
+
+
+def reference_is_mono(inst, f):
+    """The element-wise mono test: only 0 maps to 0."""
+    z = zmod.zero(inst.moduli_of(f.dst))
+    return [inst.apply(f, v) for v in inst.elements(f.src)].count(z) == 1
+
+
+def reference_is_epi(inst, f):
+    """The element-wise epi test: the image has |f.dst| elements."""
+    return len({inst.apply(f, v) for v in inst.elements(f.src)}) == \
+        inst.order(f.dst)
+
+
+def _assert_element_verdicts(inst, maps):
+    verdicts = set()
+    for f in maps:
+        got = (inst.is_mono(f), inst.is_epi(f))
+        assert got == (reference_is_mono(inst, f),
+                       reference_is_epi(inst, f)), f
+        verdicts.add(got)
+    # monos, epis, isomorphisms and maps that are neither all occur
+    assert verdicts == {(a, b) for a in (False, True) for b in (False, True)}
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2:4", "abp:2:8", "abp:3:9",
+                                        "abp:5:25", "vect:2:2", "vect:3:2",
+                                        "vect:5:2"])
+def test_mono_and_epi_match_the_element_oracles(descriptor):
+    inst = parse_instance(descriptor)
+    objs = inst.objects()
+    _assert_element_verdicts(inst, [f for x in objs for y in objs
+                                    for f in inst.hom(x, y)])
+
+
+def test_mono_and_epi_match_the_element_oracles_on_a_sample_of_abp_3_27():
+    inst = AbPInstance(3, 27)
+    objs = inst.objects()
+    maps = [f for x in objs for y in objs for f in inst.hom(x, y)]
+    assert len(maps) == 23509
+    _assert_element_verdicts(inst, random.Random(27).sample(maps, 3000))
 
 
 # frozen from the independent element-set enumeration
