@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True,
                    help="sset file to read")
     p.add_argument("--budget", type=int, default=10000,
-                   help="cap on simplification passes")
+                   help="cap on Tietze moves (generator eliminations)")
 
     p = add("k0", run_k0, "class group read off the span category")
     p.add_argument("--instance", required=True,

@@ -1,10 +1,13 @@
 """Finite group presentations with Tietze simplification.
 
 Words are tuples of (generator, exponent) letters with exponent +1 or -1.
-Relators are kept cyclically reduced.  Simplification repeatedly eliminates
-a generator that appears exactly once in some relator; that move never
-changes the group, so invariants such as the abelianization are preserved
-and a presentation that shrinks to no generators certifies triviality.
+Words never change in place, so the word routines share the letter
+objects they copy instead of rebuilding them.  A presentation's relators
+are tidy by construction: cyclically reduced, nonempty, and one per
+cyclic key.  Simplification repeatedly eliminates a generator that
+appears exactly once in some relator; that move never changes the group,
+so invariants such as the abelianization are preserved and a
+presentation that shrinks to no generators certifies triviality.
 
 The moves come in a fixed order (see `GroupPresentation.simplified`), and
 each one rewrites and re-keys only the relators that hold the eliminated
@@ -24,13 +27,14 @@ Word = tuple[Letter, ...]
 
 def free_reduce(word) -> Word:
     out: list[Letter] = []
-    for gen, exp in word:
+    for letter in word:
+        gen, exp = letter
         if exp not in (1, -1):
             raise ValueError("letters carry exponent +1 or -1")
         if out and out[-1][0] == gen and out[-1][1] == -exp:
             out.pop()
         else:
-            out.append((gen, exp))
+            out.append(letter)
     return tuple(out)
 
 
@@ -39,23 +43,25 @@ def invert_word(word) -> Word:
 
 
 def cyclic_reduce(word) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0] and w[i][1] == -w[j][1]:
+        i, j = i + 1, j - 1
+    return w[i:j + 1]
 
 
 def _substitute(word: Word, gen: str, replacement: Word) -> Word:
+    """`word` with each gen^(+-1) replaced by `replacement`^(+-1), unreduced."""
     rep_inv = invert_word(replacement)
     out: list[Letter] = []
-    for g, e in word:
-        if g != gen:
-            out.append((g, e))
-        elif e == 1:
+    for letter in word:
+        if letter[0] != gen:
+            out.append(letter)
+        elif letter[1] == 1:
             out.extend(replacement)
         else:
             out.extend(rep_inv)
-    return free_reduce(tuple(out))
+    return tuple(out)
 
 
 def _cyclic_key(word: Word):
@@ -70,36 +76,27 @@ def _cyclic_key(word: Word):
 
 
 class GroupPresentation(Record):
-    __slots__ = ("generators", "relators")
+    """The constructor is the one place relators are tidied: it keeps the
+    first of each cyclic key, and the keys in `_keys` for `simplified`."""
 
-    def __init__(self, generators: tuple[str, ...],
-                 relators: tuple[Word, ...]):
+    __slots__ = ("generators", "relators", "_keys")
+
+    def __init__(self, generators, relators):
+        generators = tuple(generators)
         if len(set(generators)) != len(generators):
             raise ValueError("duplicate generators")
         known = set(generators)
+        word_of_key: dict = {}
         for rel in relators:
-            for gen, exp in rel:
+            for gen, _ in rel:
                 if gen not in known:
                     raise ValueError(f"relator mentions unknown generator {gen!r}")
-                if exp not in (1, -1):
-                    raise ValueError("letters carry exponent +1 or -1")
+            word = cyclic_reduce(rel)
+            if word:
+                word_of_key.setdefault(_cyclic_key(word), word)
         self.generators = generators
-        self.relators = relators
-
-    @staticmethod
-    def build(generators, relators) -> "GroupPresentation":
-        rels = []
-        seen = set()
-        for rel in relators:
-            w = cyclic_reduce(tuple(rel))
-            if not w:
-                continue
-            key = _cyclic_key(w)
-            if key in seen:
-                continue
-            seen.add(key)
-            rels.append(w)
-        return GroupPresentation(tuple(generators), tuple(rels))
+        self.relators = tuple(word_of_key.values())
+        self._keys = tuple(word_of_key)
 
     def abelianization(self) -> tuple[int, list[int]]:
         """(free rank, torsion orders) of the abelianized group."""
@@ -152,11 +149,8 @@ class GroupPresentation(Record):
             del slot_of_key[keys[i]]
             rels[i] = None
 
-        def place(i: int, word: Word):
-            # an empty relator is dropped; of two with one key the lower slot stays
-            if not word:
-                return
-            key = _cyclic_key(word)
+        def place(i: int, word: Word, key):
+            # of two relators with one key the lower slot stays
             other = slot_of_key.get(key)
             if other is not None:
                 if other < i:
@@ -168,8 +162,8 @@ class GroupPresentation(Record):
             if _lone_generator(word) is not None:
                 heapq.heappush(ready, (len(word), word, i))
 
-        for i, rel in enumerate(self.relators):
-            place(i, cyclic_reduce(rel))
+        for i, (rel, key) in enumerate(zip(self.relators, self._keys)):
+            place(i, rel, key)
         steps = 0
         while steps < budget and ready:
             _, rel, i = heapq.heappop(ready)
@@ -187,10 +181,11 @@ class GroupPresentation(Record):
                 drop(j)
             del slots_with[gen]
             for j, word in zip(touched, old):
-                place(j, cyclic_reduce(_substitute(word, gen, replacement)))
+                word = cyclic_reduce(_substitute(word, gen, replacement))
+                if word:
+                    place(j, word, _cyclic_key(word))
             steps += 1
-        return GroupPresentation(tuple(gens),
-                                 tuple(r for r in rels if r is not None))
+        return GroupPresentation(gens, [r for r in rels if r is not None])
 
 
 def abelian_label(betti: int, torsion) -> str:

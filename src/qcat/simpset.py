@@ -344,11 +344,13 @@ def edge_path_presentation(vertices, edges, triangles) -> GroupPresentation:
 
     gens = [e for e, (a, _) in edges.items()
             if e not in tree_edges and a in seen]
-    gen_names = {e: f"g{k}" for k, e in enumerate(gens)}
-    relators = [tuple((gen_names[e], sign)
-                      for e, sign in zip(tri, (1, 1, -1)) if e in gen_names)
+    names = [f"g{k}" for k in range(len(gens))]
+    # one letter object per generator and sign, shared by every relator
+    letters = {e: ((g, 1), (g, -1)) for e, g in zip(gens, names)}
+    relators = [tuple(letters[e][side]
+                      for e, side in zip(tri, (0, 0, 1)) if e in letters)
                 for tri in triangles]
-    return GroupPresentation.build(tuple(gen_names.values()), relators)
+    return GroupPresentation(names, relators)
 
 
 class Contractibility(Record):

@@ -210,7 +210,7 @@ def reference_pi1_presentation(x: SimplicialSet):
             if not w and e in gen_names:
                 word.append((gen_names[e], sign))
         relators.append(tuple(word))
-    return GroupPresentation.build(tuple(gen_names.values()), relators)
+    return GroupPresentation(tuple(gen_names.values()), relators)
 
 
 def test_pi1_matches_the_per_component_reference(rp2):
