@@ -6,11 +6,20 @@ token contributing the order-reversed copy.  Restricting a simplicial set
 along such a functor reindexes its levels, and the word (op, id) gives
 the edgewise subdivision, whose vertices are the edges of the input.
 
+A pullback is compiled from its cells alone.  A level-n token is a value
+(w, y) of the input in dimension k(n+1)-1, and it is s_j of a level-(n-1)
+token exactly when w holds all k doubles
+D_j = {b(n+1)+j : id block b} ∪ {b(n+1)+n-1-j : op block b}.  A cell
+must keep one position of each of the n disjoint D_j out of w, so y has
+dimension at least n, and a pullback of Δ^m has no cell above level m.
+
 The Const(k) functor, collapsing every map to the identity of [k], is
 kept alongside as a decidable negative control for the subdivision test.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from . import parallel
 from .ordmaps import DeltaMap
@@ -21,6 +30,7 @@ from .simpset import (
     SimplicialMap,
     SimplicialSet,
     contractibility,
+    drop_doubles,
     op_word,
     product_model,
     standard_simplex,
@@ -58,6 +68,41 @@ class JoinWord(Record):
     def describe(self) -> str:
         return ",".join(self.tokens)
 
+    def doubles(self, n: int) -> list[frozenset]:
+        """D_j for j < n: the doubles of the word's image of the
+        codegeneracy [n] -> [n-1] repeating j, one in each block."""
+        return [frozenset(b * (n + 1) + (j if token == "id" else n - 1 - j)
+                          for b, token in enumerate(self.tokens))
+                for j in range(n)]
+
+    def cells(self, x: SimplicialSet, n: int) -> list:
+        """The level-n tokens whose word holds no D_j, so their normal
+        word is empty, in `x.values` order; only a y of dimension at
+        least n can carry one."""
+        top = self.apply_object(n)
+        doubles = self.doubles(n)
+        return [(w, y) for y in sorted(x.dims, key=repr)
+                if n <= x.dims[y] <= top
+                for w in combinations(range(top - 1, -1, -1), top - x.dims[y])
+                if not any(map(frozenset(w).issuperset, doubles))]
+
+    def normal(self, n: int):
+        """The value of a level-n token (w, y): s_j applies to it exactly
+        when w holds D_j, since a value of x is in the image of a
+        surjection exactly when its word holds the surjection's doubles.
+        The word is those j, the cell (w, y) with their doubles dropped."""
+        doubles = self.doubles(n)
+
+        def apply(value):
+            held = frozenset(value[0])
+            if not any(map(held.issuperset, doubles)):
+                return (), value
+            word = tuple(j for j in range(n - 1, -1, -1) if doubles[j] <= held)
+            dropped = frozenset().union(*(doubles[j] for j in word))
+            return word, (drop_doubles(value[0], dropped), value[1])
+
+        return apply
+
 
 class ConstWord(Record):
     """The functor collapsing everything onto [k]."""
@@ -77,6 +122,16 @@ class ConstWord(Record):
 
     def describe(self) -> str:
         return f"const:{self.k}"
+
+    def cells(self, x: SimplicialSet, n: int) -> list:
+        """Every level is x's k-simplices and every degeneracy is the
+        identity, so each token is nondegenerate at level 0 only."""
+        return x.values(self.k) if n == 0 else []
+
+    def normal(self, n: int):
+        """A level-n token t is s_(n-1) ... s_0 of t at level 0."""
+        word = tuple(range(n - 1, -1, -1))
+        return lambda t: (word, t)
 
 
 def parse_word(text: str):
@@ -102,9 +157,12 @@ def _require_depth(word, x: SimplicialSet, depth: int):
 
 
 def pullback_model(word, x: SimplicialSet, depth: int) -> LevelModel:
+    """Level n is x's values in dimension word.apply_object(n); the word
+    lists the cells and writes their normal forms."""
     _require_depth(word, x, depth)
     return LevelModel(
-        levels=lambda n: x.values(word.apply_object(n)),
+        cells=lambda n: word.cells(x, n),
+        normal=word.normal,
         act=lambda f: x.action(word.apply_map(f)),
         max_dim=depth,
         truncation=depth,
@@ -128,9 +186,7 @@ def edgewise_structure_map(x: SimplicialSet, depth: int) -> SimplicialMap:
     in the opposite's normal form) and the second along i -> n+1+i.
     """
     src = pullback_model(EDGEWISE, x, depth).compile()
-    model = product_model(x.opposite(), x)
-    prod = LevelModel(model.levels, model.act, max(model.max_dim, depth),
-                      model.truncation).compile()
+    prod = product_model(x.opposite(), x).compile()
 
     def push(token, n):  # token is a value of x in dimension 2n+1
         into_op = DeltaMap(n, 2 * n + 1, tuple(range(n + 1)))

@@ -46,9 +46,10 @@ class Instance:
     of structure tuples back to objects.  `_subobject` and `_quotient`
     are its one subgroup routine and its one quotient routine.
 
-    Element tuples, each map's element-index table (`table`), the
-    subgroup inclusions into each object, the span classes of each pair
-    of objects and each span's legs are memoized on the instance.
+    Element tuples, each map's element-index table (`table`), each hom
+    set's image indices (`_indexed_hom`), the subgroup inclusions into
+    each object, the span classes of each pair of objects and each span's
+    legs are memoized on the instance.
     An object is only a typing value whose group depends on the instance
     (the object (1,) is Z/2 in abp:2:4 and Z/3 in abp:3:9), so these
     tables must never be shared between instances.
@@ -59,6 +60,7 @@ class Instance:
     def __init__(self):
         self._elements = {}       # object -> tuple of its elements
         self._tables = {}         # Mor -> its element-index table
+        self._indices = {}        # (x, y) -> image index of each map x -> y
         self._subobjects = {}     # y -> [inclusion V >-> y per subgroup]
         self._spans = {}          # (x, y) -> tuple of all_spans(x, y)
         self._span_legs = {}      # Span -> (w, e: w ->> src, m: w >-> dst)
@@ -125,6 +127,16 @@ class Instance:
         key = zmod.subgroup_key(self.moduli_of(f.dst), list(zip(*f.rows)))
         return prod(row[i] for i, row in enumerate(key))
 
+    def _indexed_hom(self, x, y):
+        """Each map of hom(x, y) with its image index.  The indices, not
+        the maps, are kept per pair, so `monos` and `epis` over one hom
+        set key each map once."""
+        maps = self.hom(x, y)
+        indices = self._indices.get((x, y))
+        if indices is None:
+            indices = self._indices[(x, y)] = tuple(map(self._image_index, maps))
+        return zip(maps, indices)
+
     def is_mono(self, f: Mor) -> bool:
         return self.order(f.src) * self._image_index(f) == self.order(f.dst)
 
@@ -132,10 +144,12 @@ class Instance:
         return self._image_index(f) == 1
 
     def monos(self, x, y) -> list[Mor]:
-        return [f for f in self.hom(x, y) if self.is_mono(f)]
+        # is_mono, read off the kept index
+        return [f for f, index in self._indexed_hom(x, y)
+                if self.order(x) * index == self.order(y)]
 
     def epis(self, x, y) -> list[Mor]:
-        return [f for f in self.hom(x, y) if self.is_epi(f)]
+        return [f for f, index in self._indexed_hom(x, y) if index == 1]
 
     def isos(self, x, y) -> list[Mor]:
         # a mono between finite groups of one order is onto

@@ -284,6 +284,27 @@ def _nerve_levels(c: FiniteCategory, n: int):
     return strings(c.objects, {m: c.morph[m] for m in c.morphisms()}, n, "nerve")
 
 
+def nerve_normal(c: FiniteCategory, n: int):
+    """The value (word, cell) of a level-n token of the nerve.  s_j puts
+    an identity at place j of a string, so a string is s_w of its
+    identity-free part, its one nondegenerate source (Eilenberg-Zilber),
+    for w the places of its identities.  A string of identities alone
+    comes from its object."""
+    if n == 0:
+        return lambda token: ((), token)
+    ids = set(c.identity.values())
+
+    def apply(token):
+        if ids.isdisjoint(token):
+            return (), token
+        word = tuple(j for j in range(n - 1, -1, -1) if token[j] in ids)
+        if len(word) == n:
+            return word, c.src(token[0])
+        return word, tuple(m for m in token if m not in ids)
+
+    return apply
+
+
 def _string_counts(objects, arrows):
     """Yields, for n = 0, 1, 2, ..., the number of composable strings of
     n arrows drawn from `arrows`, given as (source, target) pairs; level 0
@@ -339,9 +360,12 @@ def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
     nonidentity morphisms die out, otherwise truncates at `depth`."""
     require_category(c)
     cap = depth if depth is not None else len(c.morph) + 1
-    nonid = [ends for m, ends in c.morph.items() if not c.is_identity(m)]
+    # the cells are the strings of nonidentity arrows, in `_nerve_levels`
+    # order, which lists strings by their arrows' order
+    nonid = {m: c.morph[m] for m in c.morphisms() if not c.is_identity(m)}
     complete_at = None
-    for n, count in zip(range(cap + 1), _string_counts(c.objects, nonid)):
+    for n, count in zip(range(cap + 1),
+                        _string_counts(c.objects, nonid.values())):
         if n > 0 and count == 0:
             complete_at = n - 1
             break
@@ -355,7 +379,8 @@ def nerve_model(c: FiniteCategory, depth: int | None = None) -> LevelModel:
             "pass an explicit nerve depth")
     require_strings("nerve", c.objects, c.morph, max_dim)
     return LevelModel(
-        levels=lambda n: _nerve_levels(c, n),
+        cells=lambda n: strings(c.objects, nonid, n, "nerve"),
+        normal=lambda n: nerve_normal(c, n),
         act=lambda f: nerve_action(c, f),
         max_dim=max_dim,
         truncation=trunc,
@@ -369,13 +394,12 @@ def nerve(c: FiniteCategory, depth: int | None = None) -> SimplicialSet:
 def nerve_map(fun: FunctorData, depth: int | None = None) -> SimplicialMap:
     src_model = nerve_model(fun.source, depth)
     dst_model = nerve_model(fun.target, depth)
-    # the image of a long identity-free string can involve identities, so
-    # the target model must be compiled at least as deep as the source
+    # the image of a long identity-free string can hold identities; its
+    # normal form finds its cell at any level, but the target's strings
+    # are still held to the guard through the source's top level
     if dst_model.max_dim < src_model.max_dim:
         require_strings("nerve", fun.target.objects, fun.target.morph,
                         src_model.max_dim)
-        dst_model = LevelModel(dst_model.levels, dst_model.act,
-                               src_model.max_dim, dst_model.truncation)
 
     def push(token, n):
         if n == 0:

@@ -9,6 +9,12 @@ last.  Faces and the action of every monotone map are closed forms in
 these doubles, so finite presentations support exact computation of
 chains, homology and the edge-path group.
 
+Nerves, products and pullbacks are built as a `LevelModel`: each level
+lists only its cells, the nondegenerate simplices, and the model writes
+any simplex as its value (word, cell) in closed form, so compiling one
+never lists a degenerate simplex or searches for the degeneracy that
+made it.
+
 `truncation` records how much of the set the presentation knows: None
 means the listed simplices are all of them; an integer T means dimensions
 above T were never enumerated, so degree-sensitive reports stop below T.
@@ -36,6 +42,14 @@ def compose_words(outer: Word, inner: Word) -> Word:
     doubled = set(outer)
     last = [j for j in range(len(outer) + inner[0] + 1) if j not in doubled]
     return tuple(sorted(doubled.union([last[j] for j in inner]), reverse=True))
+
+
+def drop_doubles(word: Word, doubles) -> Word:
+    """The normal word v with s_doubles s_v = s_word, for `doubles` a set
+    of word's letters: compose_words run backwards.  Each letter left
+    moves down by the number of doubles below it."""
+    return tuple(j - sum(d < j for d in doubles)
+                 for j in word if j not in doubles)
 
 
 def op_word(word: Word, n: int) -> Word:
@@ -72,15 +86,17 @@ class SimplicialSet:
         for x in self.faces:
             if x not in self.dims:
                 raise ValueError(f"face record for unknown simplex {x!r}")
-        # d_i d_j = d_(j-1) d_i for i < j
+        # d_i d_j = d_(j-1) d_i for i < j; a face that is a cell has its
+        # faces in its own record, which the loops above have checked
         for x, n in self.dims.items():
             if n < 2:
                 continue
+            low = [self.faces[y] if not w else
+                   [self.face((w, y), i) for i in range(n)]
+                   for w, y in self.faces[x]]
             for j in range(1, n + 1):
                 for i in range(j):
-                    lhs = self.face(self.face_of(x, j), i)
-                    rhs = self.face(self.face_of(x, i), j - 1)
-                    if lhs != rhs:
+                    if low[j][i] != low[i][j - 1]:
                         raise ValueError(f"simplicial identity fails at {x!r}: "
                                          f"d_{i} d_{j} != d_{j - 1} d_{i}")
 
@@ -416,91 +432,74 @@ def contractibility(space: SimplicialSet, depth: int,
 
 
 class LevelModel:
-    """A simplicial set described one level at a time.
+    """A simplicial set described one level at a time by its cells.
 
-    `levels(n)` lists tokens for all n-simplices (degenerate included).
-    `act(f)` takes a monotone map f:[a]->[b] and returns the function that
-    applies f contravariantly, sending a level-b token to a level-a token.
-    Compilation asks for each map once per level and applies the function
-    it gets to many tokens there, so `act(f)` should do the work that
-    depends only on f before it returns.
+    `cells(n)` lists the nondegenerate n-simplices and nothing else.
+    `normal(n)` returns the function that writes any n-simplex token, a
+    degenerate one included, as its value (word, cell): by the
+    Eilenberg-Zilber lemma every simplex is s_w x for exactly one cell x
+    and one normal word w (Gabriel & Zisman 1967, ch. II), and each model
+    computes that pair in closed form.  `act(f)` takes a monotone map
+    f:[a]->[b] and returns the function that applies f contravariantly,
+    sending a level-b token to a level-a token.  `normal(n)` and `act(f)`
+    are asked for once per level or map and applied to many tokens, so
+    each should do the work that depends only on n or f before it returns.
 
-    Compilation writes each token as its value s_w x (Eilenberg-Zilber:
-    one nondegenerate x and one normal word w), building level n from
-    level n-1.  s_j s_w x is already in normal form exactly when w is
-    empty or j > w[0], so s_j is applied only to those tokens and each
-    degenerate token is reached once; a second hit means the model is not
-    a simplicial set.  Tokens no degeneracy reaches are the simplex ids,
-    and face records are the values of their faces.
+    Compilation lists the cells level by level and writes face i of a
+    level-n cell t as normal(n - 1)(act(d_i)(t)), read off the level-(n-1)
+    cells when the face is one of them, so every record shares one value
+    per cell.  No degenerate simplex is listed and no degeneracy is
+    applied; `SimplicialSet` validates the result, so a face naming no
+    listed cell is rejected there.
     """
 
-    __slots__ = ("levels", "act", "max_dim", "truncation")
+    __slots__ = ("cells", "normal", "act", "max_dim", "truncation")
 
-    def __init__(self, levels, act, max_dim: int,
+    def __init__(self, cells, normal, act, max_dim: int,
                  truncation: int | None = None):
-        self.levels = levels
+        self.cells = cells
+        self.normal = normal
         self.act = act
         self.max_dim = max_dim
         self.truncation = truncation
 
     def compile(self) -> "CompiledLevelModel":
-        tokens = {n: list(self.levels(n)) for n in range(self.max_dim + 1)}
-        for n, toks in tokens.items():
-            if len(set(toks)) != len(toks):
-                raise ValueError(f"duplicate tokens at level {n}")
-
-        values: dict[int, dict[object, Value]] = {}
-        for n, toks in tokens.items():
-            reached: dict[object, Value] = {}
-            if n:
-                present = set(toks)
-                for j in range(n):
-                    sj = self.act(DeltaMap.codegeneracy(j, n - 1))
-                    for t, (word, x) in values[n - 1].items():
-                        if word and j <= word[0]:
-                            continue
-                        image = sj(t)
-                        if image not in present:
-                            raise ValueError(f"degeneracy left the level model at {t!r}")
-                        if image in reached:
-                            raise ValueError(f"two degeneracies reach {image!r}")
-                        reached[image] = ((j,) + word, x)
-            values[n] = {t: reached.get(t) or ((), t) for t in toks}
-
-        dims = {}
-        for n, level in values.items():
-            for t, (word, _) in level.items():
-                if not word:
-                    if t in dims:
-                        raise ValueError(f"duplicate simplex id {t!r}")
-                    dims[t] = n
-        faces = {}
-        for n in range(1, self.max_dim + 1):
-            cofaces = [self.act(DeltaMap.coface(i, n)) for i in range(n + 1)]
-            for t, (word, _) in values[n].items():
-                if not word:
-                    faces[t] = tuple(values[n - 1][d(t)] for d in cofaces)
+        tokens, dims, faces = {}, {}, {}
+        below = {}   # each cell of the level below as its own value, shared
+        for n in range(self.max_dim + 1):
+            cells = tokens[n] = list(self.cells(n))
+            for t in cells:
+                if t in dims:
+                    raise ValueError(f"cell {t!r} listed at level {dims[t]} "
+                                     f"and again at level {n}")
+                dims[t] = n
+            if n and cells:
+                normal = self.normal(n - 1)
+                cofaces = [self.act(DeltaMap.coface(i, n)) for i in range(n + 1)]
+                for t in cells:
+                    faces[t] = tuple([below.get(v) or normal(v)
+                                      for v in [d(t) for d in cofaces]])
+            below = {t: ((), t) for t in cells}
         sset = SimplicialSet(dims, faces, self.truncation)
-        return CompiledLevelModel(sset, tokens, values)
+        return CompiledLevelModel(sset, tokens, self.normal)
 
 
 class CompiledLevelModel:
-    """The compiled space, with `values[n][t]`, the value (word, id) of
-    the token t at level n.  `tokens` keeps each level's token list, which
-    the per-layer tracer counts.  `map_to(other, push)` is the simplicial
-    map into `other` sending the simplex with token t at level n to the
-    value of token push(t, n)."""
-    __slots__ = ("space", "tokens", "values")
+    """The compiled space, with `tokens[n]`, the cells of level n, which
+    the per-layer tracer counts, and the model's `normal`.
+    `map_to(other, push)` is the simplicial map into `other` sending the
+    cell t at level n to the value of the token push(t, n)."""
+    __slots__ = ("space", "tokens", "normal")
 
-    def __init__(self, space: SimplicialSet, tokens: dict, values: dict):
+    def __init__(self, space: SimplicialSet, tokens: dict, normal):
         self.space = space
         self.tokens = tokens
-        self.values = values
+        self.normal = normal
 
     def map_to(self, other: "CompiledLevelModel", push) -> "SimplicialMap":
+        normal = {n: other.normal(n) for n in self.tokens}
         return SimplicialMap(self.space, other.space, {
-            t: other.values[n][push(t, n)]
-            for t, n in self.space.dims.items()})
+            t: normal[n](push(t, n)) for t, n in self.space.dims.items()})
 
 
 # -- stock spaces --------------------------------------------------------
@@ -551,9 +550,12 @@ def product(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
 def product_model(x: SimplicialSet, y: SimplicialSet) -> LevelModel:
     """Level model of the degreewise product; its tokens are value pairs.
 
-    A pair of values is nondegenerate exactly when the two degeneracy
-    words share no letter, so a complete product needs levels only up to
-    the sum of the factors' top dimensions.
+    Degeneracies act on both factors, so s_j (a, b) is s_j a paired with
+    s_j b, and a pair is s_w of a cell exactly for w the letters common
+    to both factors' words (Eilenberg-Zilber in each factor).  The cell
+    is the pair with those letters dropped from each word.  The cells are
+    the pairs whose words share no letter, so a complete product has
+    none above the sum of the factors' top dimensions.
     """
     caps = [t for t in (x.truncation, y.truncation) if t is not None]
     if caps:
@@ -563,16 +565,23 @@ def product_model(x: SimplicialSet, y: SimplicialSet) -> LevelModel:
         max_dim = x.max_nondeg_dim() + y.max_nondeg_dim()
         trunc = None
 
+    def cells(n):
+        return [(a, b) for a in x.values(n) for b in y.values(n)
+                if not set(a[0]).intersection(b[0])]
+
+    def normal(t):
+        (aw, a), (bw, b) = t
+        common = set(aw).intersection(bw)
+        if not common:
+            return (), t
+        return (tuple(sorted(common, reverse=True)),
+                ((drop_doubles(aw, common), a), (drop_doubles(bw, common), b)))
+
     def act(f):
         on_x, on_y = x.action(f), y.action(f)
         return lambda t: (on_x(t[0]), on_y(t[1]))
 
-    return LevelModel(
-        levels=lambda n: [(a, b) for a in x.values(n) for b in y.values(n)],
-        act=act,
-        max_dim=max(max_dim, 0),
-        truncation=trunc,
-    )
+    return LevelModel(cells, lambda n: normal, act, max(max_dim, 0), trunc)
 
 
 # -- maps ---------------------------------------------------------------

@@ -707,6 +707,33 @@ def test_verify_triple_matches_the_member_listing_oracle(descriptor, classes):
     assert (escapes > 0) == (classes == "all maps ingressive")
 
 
+def test_verify_triple_keys_each_map_once(monkeypatch):
+    """`monos` and `epis` walk the same hom sets and keep each one's image
+    indices, so verify_triple runs one Hermite key per map of abp:3:9
+    (142), not one per map and class (284)."""
+    calls = []
+    key = zmod.subgroup_key
+    monkeypatch.setattr(zmod, "subgroup_key",
+                        lambda *args: calls.append(args) or key(*args))
+    inst = AbPInstance(3, 9)
+    report = verify_triple(inst)
+    maps = sum(len(inst.hom(u, y)) for u in inst.objects()
+               for y in inst.objects())
+    assert report.passed and len(calls) == maps == 142
+
+
+@pytest.mark.parametrize("descriptor", ["abp:2:8", "abp:3:9", "vect:3:2"])
+def test_kept_indices_give_the_per_map_classes(descriptor):
+    inst = parse_instance(descriptor)
+    for x in inst.objects():
+        for y in inst.objects():
+            for _ in range(2):   # computed, then read back
+                assert inst.monos(x, y) == [f for f in inst.hom(x, y)
+                                            if inst.is_mono(f)]
+                assert inst.epis(x, y) == [f for f in inst.hom(x, y)
+                                           if inst.is_epi(f)]
+
+
 @pytest.mark.parametrize("descriptor", ["abp:2:4", "abp:2:8", "abp:3:9",
                                         "abp:5:25", "vect:2:2", "vect:3:2",
                                         "vect:5:2"])

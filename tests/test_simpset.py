@@ -5,12 +5,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcat import simpset
+from qcat import delta, fincat, simpset
 from qcat.delta import (EDGEWISE, edgewise_structure_map, parse_word,
                         pullback_model)
 from qcat.exact import AbPInstance, VectInstance
-from qcat.fincat import nerve_map, nerve_model, twisted_projection
-from qcat.formats import load_category
+from qcat.fincat import nerve_map, nerve_model, strings, twisted_projection
+from qcat.formats import load_category, load_sset
 from qcat.ordmaps import DeltaMap, all_maps
 from qcat.presentation import GroupPresentation
 from qcat.qcons import q_category
@@ -59,8 +59,8 @@ def disjoint_union(x: SimplicialSet, y: SimplicialSet) -> SimplicialSet:
 
 def pullback_map(word, f: SimplicialMap, depth: int) -> SimplicialMap:
     """Functorial action on maps: act on level tokens by f."""
-    src = pullback_model(word, f.source, depth).compile()
-    dst = pullback_model(word, f.target, depth).compile()
+    src = delta.pullback_model(word, f.source, depth).compile()
+    dst = delta.pullback_model(word, f.target, depth).compile()
     return src.map_to(dst, lambda token, n: f.on_value(token))
 
 
@@ -537,24 +537,43 @@ def test_faces_of_degeneracies_obey_the_simplicial_identities():
     assert cases == 5880
 
 
-# -- the level-model compiler against the per-token one it replaced --------
+# -- the level-model compiler against the degeneracy search it replaced ----
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def reference_compile(model: LevelModel):
-    """`LevelModel.compile` as it was when `act` took a map and one token:
-    every map's action is worked out again for every token it meets.
-    Driven through an adapter from the `act(f)` contract."""
+class FullModel:
+    """What the degeneracy search reads: every token of each level, the
+    action, and the depth.  The tests list the full levels themselves, so
+    the search never sees the cells or normal forms under test."""
+
+    def __init__(self, levels, act, max_dim: int, truncation=None):
+        self.levels = levels
+        self.act = act
+        self.max_dim = max_dim
+        self.truncation = truncation
+
+    def compile(self):
+        return ReferenceCompiled(self)
+
+
+def reference_compile(model: FullModel, max_dim=None):
+    """`LevelModel.compile` as it was before models wrote their normal
+    forms: apply every degeneracy to every token, mark each token reached
+    with the first (j, parent) that reaches it, and take the rest as the
+    cells.  Every other hit must give the token the same value, s_j of
+    its parent's.  Every map's action is worked out again for every token
+    it meets.  `max_dim` overrides the model's depth."""
     def act(f, t):
         return model.act(f)(t)
 
-    tokens = {n: list(model.levels(n)) for n in range(model.max_dim + 1)}
+    top = model.max_dim if max_dim is None else max_dim
+    tokens = {n: list(model.levels(n)) for n in range(top + 1)}
     for n, toks in tokens.items():
         if len(set(toks)) != len(toks):
             raise ValueError(f"duplicate tokens at level {n}")
-    mark = {}
-    for n in range(1, model.max_dim + 1):
+    hits = {}
+    for n in range(1, top + 1):
         present = set(tokens[n])
         for j in range(n):
             sj = DeltaMap.codegeneracy(j, n - 1)
@@ -562,11 +581,11 @@ def reference_compile(model: LevelModel):
                 image = act(sj, t)
                 if image not in present:
                     raise ValueError(f"degeneracy left the level model at {t!r}")
-                if (n, image) not in mark:
-                    mark[(n, image)] = (j, t)
+                hits.setdefault((n, image), []).append((j, t))
+    mark = {key: reached[0] for key, reached in hits.items()}
     ids = {}
     used = set()
-    for n in range(model.max_dim + 1):
+    for n in range(top + 1):
         for t in tokens[n]:
             if (n, t) in mark:
                 continue
@@ -574,6 +593,12 @@ def reference_compile(model: LevelModel):
                 raise ValueError(f"duplicate simplex id {t!r}")
             used.add(t)
             ids[(n, t)] = t
+    for (n, image), reached in hits.items():
+        want = reference_resolve(mark, ids, n, image)
+        for j, t in reached[1:]:
+            word, x = reference_resolve(mark, ids, n - 1, t)
+            if (reference_compose_words((j,), word), x) != want:
+                raise ValueError(f"two degeneracies reach {image!r}")
     dims, faces, token_of = {}, {}, {}
     for (n, t), name in ids.items():
         dims[name] = n
@@ -598,22 +623,58 @@ def reference_resolve(mark, ids, n, t):
 
 
 class ReferenceCompiled:
-    """`CompiledLevelModel` over the reference: maps resolve their images
-    through the marks."""
+    """`CompiledLevelModel` over the search: maps resolve their images
+    through the target's marks, searched through the source's top level."""
 
-    def __init__(self, model: LevelModel):
+    def __init__(self, model: FullModel):
+        self.model = model
         self.space, _, self.mark, self.ids, self.token_of = \
             reference_compile(model)
 
     def map_to(self, other, push):
+        top = max(self.space.dims.values(), default=0)
+        _, _, mark, ids, _ = reference_compile(
+            other.model, max(top, other.model.max_dim))
         return SimplicialMap(self.space, other.space, {
-            name: reference_resolve(other.mark, other.ids, n,
-                                    push(self.token_of[name], n))
+            name: reference_resolve(mark, ids, n, push(self.token_of[name], n))
             for name, n in self.space.dims.items()})
+
+
+# Each case builds a model and the full levels the search reads: x's
+# values in the pulled-back dimension, every string of the nerve, every
+# pair of values of the product.
+
+
+def pullback_case(word, x, depth):
+    model = pullback_model(word, x, depth)
+    return model, FullModel(lambda n: x.values(word.apply_object(n)),
+                            model.act, model.max_dim, model.truncation)
+
+
+def nerve_case(c, depth=None):
+    model = nerve_model(c, depth)
+    arrows = {m: c.morph[m] for m in c.morphisms()}
+    return model, FullModel(lambda n: strings(c.objects, arrows, n, "nerve"),
+                            model.act, model.max_dim, model.truncation)
+
+
+def product_case(x, y):
+    model = product_model(x, y)
+    return model, FullModel(
+        lambda n: [(a, b) for a in x.values(n) for b in y.values(n)],
+        model.act, model.max_dim, model.truncation)
 
 
 def _pullback_d4_op_id():
     return pullback_model(parse_word("op,id"), standard_simplex(4), 5)
+
+
+def _join_words():
+    words = [("op",), ("id",)]
+    for _ in range(2):
+        words += [w + (t,) for w in words if len(w) == len(words[-1])
+                  for t in ("op", "id")]
+    return [",".join(w) for w in words]
 
 
 def _compile_models():
@@ -621,22 +682,35 @@ def _compile_models():
         for word in ("op,id", "op,id,op", "id,op,id", "const:1"):
             for depth in (2, 3, 4):
                 yield (f"pullback-d{m}-{word}-{depth}",
-                       lambda m=m, word=word, depth=depth: pullback_model(
+                       lambda m=m, word=word, depth=depth: pullback_case(
                            parse_word(word), standard_simplex(m), depth))
-    yield ("pullback-d4-op,id-5", _pullback_d4_op_id)
+    for m in (1, 2, 3, 4):
+        for word in _join_words() + ["const:0", "const:1", "const:2"]:
+            yield (f"pullback-d{m}-{word}-5",
+                   lambda m=m, word=word: pullback_case(
+                       parse_word(word), standard_simplex(m), 5))
+    for word in _join_words() + ["const:0", "const:1", "const:2"]:
+        yield (f"pullback-rp2-{word}-3",
+               lambda word=word: pullback_case(
+                   parse_word(word),
+                   load_sset((FIXTURES / "rp2.sset").read_text()), 3))
+        yield (f"pullback-d1xd1-{word}-3",
+               lambda word=word: pullback_case(
+                   parse_word(word),
+                   product(standard_simplex(1), standard_simplex(1)), 3))
     yield ("product-d1-d2",
-           lambda: product_model(standard_simplex(1), standard_simplex(2)))
+           lambda: product_case(standard_simplex(1), standard_simplex(2)))
     yield ("product-circle-circle",
-           lambda: product_model(simplicial_circle(), simplicial_circle()))
-    yield ("product-op(d2)-d2", lambda: product_model(
+           lambda: product_case(simplicial_circle(), simplicial_circle()))
+    yield ("product-op(d2)-d2", lambda: product_case(
         standard_simplex(2).opposite(), standard_simplex(2)))
     for name, depth in (("bz2", 3), ("poset3", None)):
-        yield (f"nerve-{name}", lambda name=name, depth=depth: nerve_model(
+        yield (f"nerve-{name}", lambda name=name, depth=depth: nerve_case(
             load_category((FIXTURES / f"{name}.cat").read_text()), depth))
     yield ("nerve-Q(vect:2:1)",
-           lambda: nerve_model(q_category(VectInstance(2, 1)).category, 3))
+           lambda: nerve_case(q_category(VectInstance(2, 1)).category, 3))
     yield ("nerve-Q(abp:2:4)",
-           lambda: nerve_model(q_category(AbPInstance(2, 4)).category, 3))
+           lambda: nerve_case(q_category(AbPInstance(2, 4)).category, 3))
 
 
 COMPILE_MODELS = list(_compile_models())
@@ -645,18 +719,19 @@ COMPILE_MODELS = list(_compile_models())
 @pytest.mark.parametrize("build", [b for _, b in COMPILE_MODELS],
                          ids=[name for name, _ in COMPILE_MODELS])
 def test_compile_matches_the_per_token_reference(build):
-    model = build()
+    model, full = build()
     got = model.compile()
-    space, tokens, mark, ids, _ = reference_compile(model)
+    space, tokens, mark, ids, _ = reference_compile(full)
     assert got.space == space
     # dict order too: it fixes the order of the compiled simplices
     assert list(got.space.dims.items()) == list(space.dims.items())
     assert list(got.space.faces.items()) == list(space.faces.items())
-    assert got.tokens == tokens
+    assert list(got.tokens) == list(tokens)
     for n, toks in tokens.items():
-        assert list(got.values[n]) == toks
+        assert got.tokens[n] == [t for t in toks if (n, t) in ids]
+        normal = model.normal(n)
         for t in toks:
-            assert got.values[n][t] == reference_resolve(mark, ids, n, t)
+            assert normal(t) == reference_resolve(mark, ids, n, t), (n, t)
 
 
 def _bz2():
@@ -681,63 +756,89 @@ MAP_CASES = {
 @pytest.mark.parametrize("name", list(MAP_CASES))
 def test_map_to_matches_the_reference(monkeypatch, name):
     got = MAP_CASES[name]()
-    monkeypatch.setattr(LevelModel, "compile",
-                        lambda model: ReferenceCompiled(model))
+    # every model the maps build is searched from its full levels instead
+    monkeypatch.setattr(fincat, "nerve_model",
+                        lambda c, depth=None: nerve_case(c, depth)[1])
+    monkeypatch.setattr(delta, "pullback_model",
+                        lambda word, x, depth: pullback_case(word, x, depth)[1])
+    monkeypatch.setattr(delta, "product_model",
+                        lambda x, y: product_case(x, y)[1])
     want = MAP_CASES[name]()
     assert got.source == want.source and got.target == want.target
     assert list(got.assignment.items()) == list(want.assignment.items())
 
 
-def test_compile_applies_each_degeneracy_once_per_degenerate_token():
+def test_compile_lists_only_cells_and_applies_no_codegeneracy():
     model = _pullback_d4_op_id()
-    act = model.act
-    calls = 0
+    maps = []
 
-    def counting_act(f):
-        apply = act(f)
-        if f.misses():
-            return apply
+    def spy_act(f):
+        maps.append(f)
+        return model.act(f)
 
-        def spy(t):
-            nonlocal calls
-            calls += 1
-            return apply(t)
-        return spy
-
-    compiled = LevelModel(model.levels, counting_act, model.max_dim,
+    compiled = LevelModel(model.cells, model.normal, spy_act, model.max_dim,
                           model.truncation).compile()
-    tokens = sum(len(toks) for toks in compiled.tokens.values())
-    assert (tokens, len(compiled.space.dims)) == (3611, 231)
-    assert calls == 3380 == tokens - len(compiled.space.dims)
+    listed = sum(len(cells) for cells in compiled.tokens.values())
+    assert listed == len(compiled.space.dims) == 231
+    assert maps and not any(f.doubles() for f in maps)
 
 
 def _identity_action(f):
     return lambda t: t
 
 
-def test_compile_rejects_duplicate_tokens():
-    model = LevelModel(levels=lambda n: ["v", "w", "v"], act=_identity_action,
+def _own_value(n):
+    return lambda t: ((), t)
+
+
+def test_compile_rejects_a_cell_listed_twice():
+    model = LevelModel(lambda n: ["v", "w", "v"], _own_value, _identity_action,
                        max_dim=0)
-    with pytest.raises(ValueError, match="duplicate tokens at level 0"):
+    with pytest.raises(ValueError,
+                       match="cell 'v' listed at level 0 and again at level 0"):
         model.compile()
+
+
+def test_compile_rejects_a_cell_listed_at_two_levels():
+    cells = {0: ["v"], 1: ["v"]}
+    model = LevelModel(cells.__getitem__, _own_value, _identity_action,
+                       max_dim=1)
+    with pytest.raises(ValueError,
+                       match="cell 'v' listed at level 0 and again at level 1"):
+        model.compile()
+
+
+def test_compile_rejects_a_face_naming_no_listed_cell():
+    cells = {0: ["v"], 1: ["e"]}
+    model = LevelModel(cells.__getitem__, _own_value,
+                       lambda f: lambda t: "elsewhere", max_dim=1)
+    with pytest.raises(ValueError, match="names unknown simplex 'elsewhere'"):
+        model.compile()
+
+
+def test_compile_rejects_duplicate_tokens():
+    model = FullModel(levels=lambda n: ["v", "w", "v"], act=_identity_action,
+                      max_dim=0)
+    with pytest.raises(ValueError, match="duplicate tokens at level 0"):
+        reference_compile(model)
 
 
 def test_compile_rejects_a_degeneracy_that_leaves_the_model():
     levels = {0: ["v"], 1: ["e"]}
-    model = LevelModel(levels=levels.__getitem__,
-                       act=lambda f: lambda t: "elsewhere", max_dim=1)
+    model = FullModel(levels=levels.__getitem__,
+                      act=lambda f: lambda t: "elsewhere", max_dim=1)
     with pytest.raises(ValueError,
                        match="degeneracy left the level model at 'v'"):
-        model.compile()
+        reference_compile(model)
 
 
 def test_compile_rejects_duplicate_simplex_ids():
     # every degeneracy lands on "w", so "v" is nondegenerate at both levels
     levels = {0: ["v"], 1: ["w", "v"]}
-    model = LevelModel(levels=levels.__getitem__,
-                       act=lambda f: lambda t: "w", max_dim=1)
+    model = FullModel(levels=levels.__getitem__,
+                      act=lambda f: lambda t: "w", max_dim=1)
     with pytest.raises(ValueError, match="duplicate simplex id 'v'"):
-        model.compile()
+        reference_compile(model)
 
 
 def test_compile_rejects_two_degeneracies_onto_one_token():
@@ -751,9 +852,53 @@ def test_compile_rejects_two_degeneracies_onto_one_token():
             image = "v" if f.source_arity == 0 else "e"
         return lambda t: image
 
-    model = LevelModel(levels=levels.__getitem__, act=act, max_dim=2)
+    model = FullModel(levels=levels.__getitem__, act=act, max_dim=2)
     with pytest.raises(ValueError, match="two degeneracies reach 'x'"):
-        model.compile()
+        reference_compile(model)
+
+
+def reference_identity_failure(space: SimplicialSet):
+    """The d_i d_j = d_(j-1) d_i scan as it was before validation read a
+    cell's faces off its record: `face` on every face value.  Returns the
+    message of the first failure, or None."""
+    for x, n in space.dims.items():
+        if n < 2:
+            continue
+        for j in range(1, n + 1):
+            for i in range(j):
+                if (space.face(space.face_of(x, j), i)
+                        != space.face(space.face_of(x, i), j - 1)):
+                    return (f"simplicial identity fails at {x!r}: "
+                            f"d_{i} d_{j} != d_{j - 1} d_{i}")
+    return None
+
+
+@pytest.mark.parametrize("name", ["nerve-bz2", "nerve-poset3", "product-d1-d2",
+                                  "product-op(d2)-d2",
+                                  "pullback-rp2-op,id-3",
+                                  "pullback-d2-op,id,op-3"])
+def test_identity_check_matches_the_face_scan_on_swapped_faces(name):
+    """Swap two faces of one cell's record, for every cell of dimension at
+    least 2 and every pair: validation must fail exactly when the old scan
+    does, with its message.  The cases hold degenerate faces (nerves with
+    identities, products) as well as cells."""
+    space = dict(COMPILE_MODELS)[name]()[0].compile().space
+    failures = 0
+    for x, n in space.dims.items():
+        for a, b in combinations(range(n + 1), 2) if n >= 2 else ():
+            record = list(space.faces[x])
+            record[a], record[b] = record[b], record[a]
+            faces = dict(space.faces) | {x: tuple(record)}
+            want = reference_identity_failure(
+                SimplicialSet(space.dims, faces, space.truncation, check=False))
+            if want is None:
+                SimplicialSet(space.dims, faces, space.truncation)
+                continue
+            failures += 1
+            with pytest.raises(ValueError) as caught:
+                SimplicialSet(space.dims, faces, space.truncation)
+            assert str(caught.value) == want
+    assert failures
 
 
 # -- horn families against the candidate scan they replaced ---------------

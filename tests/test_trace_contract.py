@@ -41,18 +41,19 @@ def test_traced_layer_resolves(module, path, span):
 
 def test_compile_result_has_the_fields_the_tracer_reads():
     """`_compile_after` counts `space.dims` and, for a model built by
-    `nerve_model`, the `tokens` of each level."""
+    `nerve_model`, the `tokens` of each level, which are its cells: a
+    model lists no degenerate simplex."""
     rec = TRACER_MODULE.Recorder("contract")
     nerve = nerve_model(chain_poset(1))
     rec.nerve_models[id(nerve)] = nerve
     pull = pullback_model(EDGEWISE, standard_simplex(1), 2)
-    for model, cells, tokens in ((nerve, 3, 2 + 3), (pull, 5, 3 + 5 + 7)):
+    for model, cells, tokens in ((nerve, 3, 2 + 1), (pull, 5, 3 + 2 + 0)):
         result = model.compile()
         assert len(result.space.dims) == cells
         assert sum(len(toks) for toks in result.tokens.values()) == tokens
         TRACER_MODULE._compile_after(rec, (model,), result)
     assert rec.counts["simpset.cells"] == 3 + 5
-    assert rec.counts["fincat.nerve_tokens"] == 2 + 3
+    assert rec.counts["fincat.nerve_tokens"] == 2 + 1
 
 
 def test_diagram_count_is_the_length_of_the_enumerated_list():
